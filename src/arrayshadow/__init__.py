@@ -46,6 +46,7 @@ from .sensing import (
     doa_attenuation_spectrum,
     field_autocorrelation,
     fresnel_first_zone_minor_axis,
+    mean_attenuation_from_snapshots,
     mean_excess_attenuation,
     snapshot,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "free_space_ratio_vector",
     "fresnel_first_zone_minor_axis",
     "link_geometry",
+    "mean_attenuation_from_snapshots",
     "mean_excess_attenuation",
     "nearfield_steering",
     "planar_steering",

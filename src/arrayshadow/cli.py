@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             config = with_seed(_resolve_config(args.config), args.seed)
-            table = run(config, jobs=max(1, args.jobs))
+            table = run(config, jobs=args.jobs)
             for path in export(table, args.format, args.out):
                 print(path)
             return 0

@@ -13,8 +13,6 @@ pairwise summation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import (
@@ -41,10 +39,7 @@ def free_space_ratio(scene: Scene, antenna_index: int) -> complex:
     Returns (d_0/d_m) * exp(-j 2 pi (d_m - d_0) / lambda); exactly 1 for m = 0.
     """
     _check_index(scene, antenna_index)
-    d0 = scene.array.central_distance
-    dm = math.hypot(d0, antenna_index * scene.array.spacing)
-    k = 2.0 * np.pi / scene.wavelength
-    return (d0 / dm) * np.exp(-1j * k * (dm - d0))
+    return complex(free_space_ratio_vector(scene)[antenna_index + scene.array.half_count])
 
 
 def free_space_ratio_vector(scene: Scene) -> np.ndarray:
@@ -53,18 +48,6 @@ def free_space_ratio_vector(scene: Scene) -> np.ndarray:
     dm = np.hypot(d0, scene.array.indices * scene.array.spacing)
     k = 2.0 * np.pi / scene.wavelength
     return (d0 / dm) * np.exp(-1j * k * (dm - d0))
-
-
-def _sheet_sum(
-    scene: Scene, grid: QuadratureGrid, rx: np.ndarray, dm: float
-) -> complex:
-    r1 = np.linalg.norm(grid.points - scene.tx, axis=1)
-    r2 = np.linalg.norm(grid.points - rx, axis=1)
-    if r1.min() < _MIN_CLEARANCE or r2.min() < _MIN_CLEARANCE:
-        raise ValueError("target intersects antenna")
-    k = 2.0 * np.pi / scene.wavelength
-    contributions = np.exp(-1j * k * (r1 + r2 - dm)) / (r1 * r2) * grid.areas
-    return complex(np.sum(contributions))
 
 
 def field_ratio(
@@ -92,15 +75,8 @@ def field_ratio(
         Dimensionless field ratio.
     """
     _check_index(scene, antenna_index)
-    if target is None:
-        return 1.0 + 0.0j
-    if grid is None:
-        grid = discretize_sheet(target, scene)
-    i = antenna_index + scene.array.half_count
-    rx = antenna_positions(scene)[i]
-    dm = float(np.linalg.norm(rx - scene.tx))
-    total = _sheet_sum(scene, grid, rx, dm)
-    return 1.0 - 1j * (dm / scene.wavelength) * total
+    ratios = field_ratio_vector(scene, target, grid)
+    return complex(ratios[antenna_index + scene.array.half_count])
 
 
 def field_ratio_vector(

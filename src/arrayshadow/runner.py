@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,12 @@ from .em_model import (
     excess_attenuation_db,
     field_ratio_vector,
 )
-from .geometry import ArraySpec, Scene, TargetSheet, discretize_sheet
-from .sensing import attenuation_spectrum_from_snapshots, boresight_steering
+from .geometry import SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, discretize_sheet
+from .sensing import (
+    attenuation_spectrum_from_snapshots,
+    boresight_steering,
+    mean_attenuation_from_snapshots,
+)
 
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
 
@@ -86,29 +91,8 @@ class ScenarioConfig:
             rotation=self.target_rotation,
         )
 
-    def resolved_dict(self) -> dict:
-        return {
-            "carrier_frequency": self.carrier_frequency,
-            "central_distance": self.central_distance,
-            "half_count": self.half_count,
-            "spacing": self.spacing,
-            "link_height": self.link_height,
-            "target_half_width": self.target_half_width,
-            "target_half_height": self.target_half_height,
-            "target_rotation": self.target_rotation,
-            "positions": [list(p) for p in self.positions],
-            "n_fft": self.n_fft,
-            "quadrature_step": self.quadrature_step,
-            "quadrature_rel_tol": self.quadrature_rel_tol,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-            "array_factor_spacings": list(self.array_factor_spacings),
-            "array_factor_points": self.array_factor_points,
-        }
-
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -122,6 +106,7 @@ class Row:
     quantity: str
     value: float
     units: str
+    stem: str  # csv/gnuplot file name, without suffix
 
 
 @dataclass(frozen=True)
@@ -131,18 +116,55 @@ class ResultTable:
     version: str
 
 
+_REQUIRED = object()
+
+
+def _number(value, label: str, errors: list, default=_REQUIRED, integer: bool = False):
+    """``value`` as a finite float, or as an int when ``integer``.
+
+    None (an absent key or JSON null) reads as ``default``, or is an error
+    when no default is given. Bools, strings, NaN and infinities are recorded
+    in ``errors`` and read as NaN, which fails no later range check, so each
+    bad value is reported once.
+    """
+    if value is None and default is not _REQUIRED:
+        return default
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if integer and isinstance(value, int):
+            return value
+        if not integer and abs(value) <= sys.float_info.max:
+            return float(value)
+    errors.append(f"{label} must be {'an integer' if integer else 'a finite number'}")
+    return math.nan
+
+
+def _typed(value, kind: type, label: str, errors: list, default):
+    """``value`` when it is a ``kind`` (dict or list); None reads as ``default``."""
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        errors.append(f"{label} must be {'an object' if kind is dict else 'a list'}")
+        return kind()
+    return value
+
+
 def _length(raw: dict, key: str, wavelength: float, errors: list, context: str) -> float | None:
     """Resolve a '<key>_m' or '<key>_wavelengths' pair to meters."""
-    meters = raw.get(f"{key}_m")
-    in_lam = raw.get(f"{key}_wavelengths")
+    meters = _number(raw.get(f"{key}_m"), f"{context}.{key}_m", errors, None)
+    in_lam = _number(raw.get(f"{key}_wavelengths"), f"{context}.{key}_wavelengths", errors, None)
     if meters is not None and in_lam is not None:
         errors.append(f"{context}: give {key}_m or {key}_wavelengths, not both")
         return None
     if meters is not None:
-        return float(meters)
+        return meters
     if in_lam is not None:
-        return float(in_lam) * wavelength
+        return in_lam * wavelength
     return None
+
+
+def _position_tag(x: float, y: float) -> str:
+    """Position part of export file names; positions closer than 1 mm share it."""
+    return f"x{x:.3f}_y{y:.3f}"
 
 
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -160,91 +182,90 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if not isinstance(scene_raw, dict):
         raise ScenarioError(f"{source}: missing required 'scene' section")
 
-    fc = float(scene_raw.get("carrier_frequency_hz", 0.0))
+    fc = _number(scene_raw.get("carrier_frequency_hz"), "scene.carrier_frequency_hz", errors, 0.0)
     if fc <= 0.0:
         errors.append("scene.carrier_frequency_hz must be positive")
-    wavelength = 299_792_458.0 / fc if fc > 0.0 else float("nan")
+    wavelength = SPEED_OF_LIGHT / fc if fc > 0.0 else math.nan
 
-    d0 = float(scene_raw.get("central_distance_m", 0.0))
+    d0 = _number(scene_raw.get("central_distance_m"), "scene.central_distance_m", errors, 0.0)
     if d0 <= 0.0:
         errors.append("scene.central_distance_m must be positive")
 
-    half_count = scene_raw.get("half_count", -1)
-    if not isinstance(half_count, int) or half_count < 0:
+    half_count = _number(scene_raw.get("half_count"), "scene.half_count", errors, -1, integer=True)
+    if half_count < 0:
         errors.append("scene.half_count must be a non-negative integer")
-        half_count = 0
 
     spacing = _length(scene_raw, "spacing", wavelength, errors, "scene")
     if spacing is None:
         errors.append("scene: spacing_m or spacing_wavelengths is required")
-        spacing = float("nan")
     elif spacing <= 0.0:
         errors.append("scene.spacing must be positive")
 
-    link_height = float(scene_raw.get("link_height_m", 0.0))
+    link_height = _number(scene_raw.get("link_height_m"), "scene.link_height_m", errors, 0.0)
 
-    target_raw = raw.get("target") or {}
-    half_width = target_raw.get("half_width_m")
-    half_height = target_raw.get("half_height_m")
-    if half_width is not None and float(half_width) <= 0.0:
+    target_raw = _typed(raw.get("target"), dict, "target", errors, {})
+    half_width = _number(target_raw.get("half_width_m"), "target.half_width_m", errors, None)
+    half_height = _number(target_raw.get("half_height_m"), "target.half_height_m", errors, None)
+    if half_width is not None and half_width <= 0.0:
         errors.append("target.half_width_m must be positive")
-    if half_height is not None and float(half_height) <= 0.0:
+    if half_height is not None and half_height <= 0.0:
         errors.append("target.half_height_m must be positive")
-    rotation = math.radians(float(target_raw.get("rotation_deg", 0.0)))
-    positions_raw = target_raw.get("positions_m", [])
+    rotation = _number(target_raw.get("rotation_deg"), "target.rotation_deg", errors, 0.0)
     positions: list[tuple[float, float]] = []
-    for i, p in enumerate(positions_raw):
-        if not isinstance(p, (list, tuple)) or len(p) != 2:
-            errors.append(f"target.positions_m[{i}] must be an [x, y] pair")
-        else:
-            positions.append((float(p[0]), float(p[1])))
+    first_with_tag: dict[str, int] = {}
+    label = "target.positions_m"
+    for i, p in enumerate(_typed(target_raw.get("positions_m"), list, label, errors, [])):
+        if not isinstance(p, list) or len(p) != 2:
+            errors.append(f"{label}[{i}] must be an [x, y] pair")
+            continue
+        positions.append(tuple(_number(v, f"{label}[{i}]", errors) for v in p))
+        j = first_with_tag.setdefault(_position_tag(*positions[-1]), i)
+        if j != i:
+            errors.append(f"{label}[{j}] and [{i}] are within 1 mm and would share export files")
 
-    proc = raw.get("processing") or {}
-    n_fft = proc.get("n_fft", 257)
-    if not isinstance(n_fft, int) or n_fft < 2 * half_count + 1:
+    proc = _typed(raw.get("processing"), dict, "processing", errors, {})
+    n_fft = _number(proc.get("n_fft"), "processing.n_fft", errors, 257, integer=True)
+    if n_fft < 2 * half_count + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
-        n_fft = max(257, 2 * half_count + 1)
     step = _length(proc, "quadrature_step", wavelength, errors, "processing")
     if step is None:
         step = wavelength / 10.0
     elif step <= 0.0:
         errors.append("processing.quadrature_step must be positive")
-    rel_tol = proc.get("quadrature_rel_tol")
-    if rel_tol is not None:
-        rel_tol = float(rel_tol)
-        if rel_tol <= 0.0:
-            errors.append("processing.quadrature_rel_tol must be positive when given")
-    noise_std = float(proc.get("noise_std", 0.0))
+    rel_tol = _number(proc.get("quadrature_rel_tol"), "processing.quadrature_rel_tol", errors, None)
+    if rel_tol is not None and rel_tol <= 0.0:
+        errors.append("processing.quadrature_rel_tol must be positive when given")
+    noise_std = _number(proc.get("noise_std"), "processing.noise_std", errors, 0.0)
     if noise_std < 0.0:
         errors.append("processing.noise_std must be non-negative")
-    seed = proc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        errors.append("processing.seed must be an integer when given")
-        seed = None
+    seed = _number(proc.get("seed"), "processing.seed", errors, None, integer=True)
 
-    outputs = tuple(raw.get("outputs", ()))
+    outputs = tuple(_typed(raw.get("outputs"), list, "outputs", errors, []))
     if not outputs:
         errors.append("outputs: at least one output kind is required")
     for kind in outputs:
         if kind not in OUTPUT_KINDS:
             errors.append(f"outputs: unknown kind '{kind}' (choose from {', '.join(OUTPUT_KINDS)})")
 
-    needs_target = any(k != "array_factor" for k in outputs)
-    if needs_target:
+    if any(k != "array_factor" for k in outputs):
         if half_width is None or half_height is None:
             errors.append("target: half_width_m and half_height_m are required for attenuation outputs")
         if not positions:
             errors.append("target.positions_m must be non-empty for attenuation outputs")
 
-    af_raw = raw.get("array_factor") or {}
-    af_spacings_lam = af_raw.get("spacings_wavelengths", [0.5])
-    af_spacings = tuple(float(s) * wavelength for s in af_spacings_lam)
+    af_raw = _typed(raw.get("array_factor"), dict, "array_factor", errors, {})
+    label = "array_factor.spacings_wavelengths"
+    af_spacings = tuple(
+        _number(s, label, errors) * wavelength
+        for s in _typed(af_raw.get("spacings_wavelengths"), list, label, errors, [0.5])
+    )
     if any(s <= 0.0 for s in af_spacings):
-        errors.append("array_factor.spacings_wavelengths must be positive")
-    af_points = af_raw.get("gamma_points", 721)
-    if not isinstance(af_points, int) or af_points < 3:
+        errors.append(f"{label} must be positive")
+    af_points = _number(
+        af_raw.get("gamma_points"), "array_factor.gamma_points", errors, 721, integer=True
+    )
+    if af_points < 3:
         errors.append("array_factor.gamma_points must be an integer >= 3")
-        af_points = 721
 
     if errors:
         raise ScenarioError(f"{source}: invalid scenario\n  - " + "\n  - ".join(errors))
@@ -255,9 +276,9 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         half_count=half_count,
         spacing=spacing,
         link_height=link_height,
-        target_half_width=None if half_width is None else float(half_width),
-        target_half_height=None if half_height is None else float(half_height),
-        target_rotation=rotation,
+        target_half_width=half_width,
+        target_half_height=half_height,
+        target_rotation=math.radians(rotation),
         positions=tuple(positions),
         n_fft=n_fft,
         quadrature_step=step,
@@ -288,6 +309,7 @@ def with_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:
 
 def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]) -> list[Row]:
     x, y = xy
+    tag = _position_tag(x, y)
     try:
         target = config.target_at(x, y)
         if config.quadrature_rel_tol is not None:
@@ -298,27 +320,32 @@ def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]
         else:
             grid = discretize_sheet(target, scene, config.quadrature_step)
             ratios = field_ratio_vector(scene, target, grid)
+        r_empty = boresight_steering(scene)
+        r_occupied = r_empty * ratios
 
         rows: list[Row] = []
         if "per_antenna_attenuation" in config.outputs:
-            per_antenna = excess_attenuation_db(ratios)
-            for m, value in zip(scene.array.indices, per_antenna):
-                rows.append(Row(x, y, int(m), "excess_attenuation_antenna_db", float(value), "dB"))
+            stem = f"per_antenna_{tag}"
+            for m, value in zip(scene.array.indices, excess_attenuation_db(ratios)):
+                rows.append(Row(
+                    x, y, int(m), "excess_attenuation_antenna_db", float(value), "dB", stem,
+                ))
         if "mean_attenuation" in config.outputs:
-            a = boresight_steering(scene)
-            w = uniform_weights(scene.array.half_count)
-            num = abs(np.vdot(w, a)) ** 2
-            den = abs(np.vdot(w, a * ratios)) ** 2
-            value = float("inf") if den == 0.0 else float(10.0 * np.log10(num / den))
-            rows.append(Row(x, y, None, "mean_excess_attenuation_db", value, "dB"))
-        if "doa_spectrum" in config.outputs:
-            a = boresight_steering(scene)
-            spectrum = attenuation_spectrum_from_snapshots(
-                a, a * ratios, scene.array.spacing, scene.wavelength, config.n_fft
+            value = mean_attenuation_from_snapshots(
+                uniform_weights(scene.array.half_count), r_empty, r_occupied
             )
+            rows.append(Row(
+                x, y, None, "mean_excess_attenuation_db", value, "dB", "mean_attenuation",
+            ))
+        if "doa_spectrum" in config.outputs:
+            spectrum = attenuation_spectrum_from_snapshots(
+                r_empty, r_occupied, scene.array.spacing, scene.wavelength, config.n_fft
+            )
+            stem = f"doa_spectrum_{tag}"
             for gamma, value in zip(spectrum.gamma_grid, spectrum.excess_attenuation_db):
                 rows.append(Row(
-                    x, y, float(np.degrees(gamma)), "doa_excess_attenuation_db", float(value), "dB",
+                    x, y, float(np.degrees(gamma)), "doa_excess_attenuation_db", float(value),
+                    "dB", stem,
                 ))
         return rows
     except ValueError as e:
@@ -332,35 +359,30 @@ def _array_factor_rows(config: ScenarioConfig, scene: Scene) -> list[Row]:
     for spacing in config.array_factor_spacings:
         ratio = spacing / scene.wavelength
         quantity = f"array_factor_db[da={ratio:g}lam]"
+        stem = f"array_factor_da{ratio:g}lam"
         for gamma_deg in gammas_deg:
             a = planar_steering(config.half_count, spacing, scene.wavelength, math.radians(gamma_deg))
             magnitude = abs(array_factor(w, a))
             value = float("-inf") if magnitude == 0.0 else float(20.0 * np.log10(magnitude))
-            rows.append(Row(None, None, float(gamma_deg), quantity, value, "dB"))
+            rows.append(Row(None, None, float(gamma_deg), quantity, value, "dB", stem))
     return rows
 
 
 def run(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
     """Evaluate every requested quantity at every position.
 
-    Positions are independent and may run concurrently; row order is
-    deterministic regardless of ``jobs``.
+    Positions are independent and run on up to ``jobs`` threads; row order
+    is deterministic regardless of ``jobs``.
     """
     scene = config.scene()
     rows: list[Row] = []
     if "array_factor" in config.outputs:
         rows.extend(_array_factor_rows(config, scene))
 
-    position_outputs = [k for k in config.outputs if k != "array_factor"]
-    if position_outputs and config.positions:
-        ordered = sorted(config.positions)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for chunk in pool.map(lambda p: _position_rows(config, scene, p), ordered):
-                    rows.extend(chunk)
-        else:
-            for p in ordered:
-                rows.extend(_position_rows(config, scene, p))
+    if any(k != "array_factor" for k in config.outputs) and config.positions:
+        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+            chunks = pool.map(lambda p: _position_rows(config, scene, p), sorted(config.positions))
+            rows.extend(row for chunk in chunks for row in chunk)
 
     rows.sort(key=lambda r: (
         r.x is not None, r.x or 0.0, r.y or 0.0, r.quantity,
@@ -377,38 +399,13 @@ def _fmt(value) -> str:
     return format(value, _FLOAT_FMT)
 
 
-def _group_key(row: Row) -> tuple:
-    if row.quantity == "doa_excess_attenuation_db":
-        return ("doa_spectrum", row.x, row.y)
-    if row.quantity == "excess_attenuation_antenna_db":
-        return ("per_antenna", row.x, row.y)
-    if row.quantity == "mean_excess_attenuation_db":
-        return ("mean_attenuation",)
-    return ("array_factor", row.quantity)
-
-
-_GROUP_COLUMNS = {
-    "doa_spectrum": ("gamma_deg", "excess_attenuation_db"),
-    "per_antenna": ("antenna_index", "excess_attenuation_db"),
-    "mean_attenuation": ("x_m", "y_m", "mean_excess_attenuation_db"),
-    "array_factor": ("gamma_deg", "array_factor_db"),
+# Column headers per quantity; every array_factor_db[da=...] quantity shares one.
+_COLUMNS = {
+    "doa_excess_attenuation_db": ("gamma_deg", "excess_attenuation_db"),
+    "excess_attenuation_antenna_db": ("antenna_index", "excess_attenuation_db"),
+    "mean_excess_attenuation_db": ("x_m", "y_m", "mean_excess_attenuation_db"),
 }
-
-
-def _group_filename(key: tuple) -> str:
-    kind = key[0]
-    if kind in ("doa_spectrum", "per_antenna"):
-        return f"{kind}_x{key[1]:.3f}_y{key[2]:.3f}"
-    if kind == "mean_attenuation":
-        return "mean_attenuation"
-    spacing_tag = key[1].split("da=", 1)[1].rstrip("]")
-    return f"array_factor_da{spacing_tag}"
-
-
-def _group_record(kind: str, row: Row) -> tuple:
-    if kind == "mean_attenuation":
-        return (row.x, row.y, row.value)
-    return (row.index, row.value)
+_ARRAY_FACTOR_COLUMNS = ("gamma_deg", "array_factor_db")
 
 
 def export(table: ResultTable, fmt: str, out_dir) -> list[Path]:
@@ -451,23 +448,25 @@ def _export_jsonl(table: ResultTable, out_dir: Path) -> Path:
 
 
 def _export_columns(table: ResultTable, fmt: str, out_dir: Path) -> list[Path]:
-    groups: dict[tuple, list[Row]] = {}
+    groups: dict[str, list[Row]] = {}
     for row in table.rows:
-        groups.setdefault(_group_key(row), []).append(row)
+        groups.setdefault(row.stem, []).append(row)
 
     sep = "," if fmt == "csv" else " "
     suffix = ".csv" if fmt == "csv" else ".dat"
+    header_meta = f"# config_hash={table.config_hash} version={table.version}"
     written = []
-    for key in sorted(groups, key=str):
-        kind = key[0]
-        path = out_dir / (_group_filename(key) + suffix)
-        header_meta = f"# config_hash={table.config_hash} version={table.version}"
-        columns = sep.join(_GROUP_COLUMNS[kind])
+    for stem in sorted(groups):
+        rows = groups[stem]
+        path = out_dir / (stem + suffix)
+        columns = sep.join(_COLUMNS.get(rows[0].quantity, _ARRAY_FACTOR_COLUMNS))
         if fmt == "gnuplot":
             columns = "# " + columns
         body = [
-            sep.join(_fmt(v) for v in _group_record(kind, row))
-            for row in groups[key]
+            sep.join(_fmt(v) for v in (
+                (row.x, row.y, row.value) if row.index is None else (row.index, row.value)
+            ))
+            for row in rows
         ]
         path.write_text("\n".join([header_meta, columns, *body]) + "\n")
         written.append(path)

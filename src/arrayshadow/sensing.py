@@ -14,7 +14,7 @@ import numpy as np
 
 from .array_model import nearfield_steering
 from .em_model import field_ratio_vector
-from .geometry import QuadratureGrid, Scene, TargetSheet, discretize_sheet
+from .geometry import QuadratureGrid, Scene, TargetSheet
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,20 @@ def mean_excess_attenuation(
     steering vector; +inf when the beamformed occupied field vanishes.
     """
     a = boresight_steering(scene)
-    ratios = field_ratio_vector(scene, target, grid)
-    num = abs(np.vdot(weights, a)) ** 2
-    den = abs(np.vdot(weights, a * ratios)) ** 2
+    return mean_attenuation_from_snapshots(
+        weights, a, a * field_ratio_vector(scene, target, grid)
+    )
+
+
+def mean_attenuation_from_snapshots(
+    weights: np.ndarray, r_empty: np.ndarray, r_occupied: np.ndarray
+) -> float:
+    """Beamformed empty-over-occupied power ratio |w^H r_0|^2 / |w^H r_1|^2 in dB.
+
+    +inf when the beamformed occupied field vanishes.
+    """
+    num = abs(np.vdot(weights, r_empty)) ** 2
+    den = abs(np.vdot(weights, r_occupied)) ** 2
     if den == 0.0:
         return float("inf")
     return float(10.0 * np.log10(num / den))
@@ -201,8 +212,6 @@ def doa_attenuation_spectrum(
     grid: QuadratureGrid | None = None,
 ) -> DoaSpectrum:
     """DoA excess-attenuation spectrum from noiseless snapshot pairs."""
-    if target is not None and grid is None:
-        grid = discretize_sheet(target, scene)
     r0 = snapshot(scene, occupancy=0).r
     if target is None:
         r1 = r0

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from arrayshadow import (
     QuadratureGrid,
     TargetSheet,
+    antenna_positions,
     converged_field_ratio_vector,
     discretize_sheet,
     excess_attenuation_antenna,
@@ -107,6 +108,13 @@ class TestFieldRatio:
         )
         with pytest.raises(ValueError, match="intersects"):
             field_ratio(paper_scene, make_paper_target(), 0, grid)
+        # a sheet through any antenna is outside the model, even when asking
+        # for the field at another one
+        on_m2 = QuadratureGrid(
+            points=antenna_positions(paper_scene)[-1:], areas=np.array([1e-4]), step=1e-2
+        )
+        with pytest.raises(ValueError, match="intersects"):
+            field_ratio(paper_scene, make_paper_target(), 0, on_m2)
 
     def test_knife_edge_on_central_los(self, paper_scene):
         att = excess_attenuation_antenna(paper_scene, edge_sheet(0.0), 0)

@@ -113,6 +113,34 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="positions"):
             load_scenario(write_config(tmp_path, raw))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("scene", "carrier_frequency_hz", "abc"),
+        ("scene", "carrier_frequency_hz", float("nan")),
+        ("scene", "half_count", True),
+        (None, "target", [1, 2]),
+        (None, "processing", [1]),
+        ("target", "positions_m", 5),
+        ("target", "positions_m", [["a", 1]]),
+        ("target", "positions_m", [[1.0, float("inf")]]),
+        ("target", "half_height_m", "tall"),
+        ("processing", "quadrature_rel_tol", "x"),
+        ("array_factor", "spacings_wavelengths", "0.5"),
+    ])
+    def test_malformed_values_rejected_cleanly(self, tmp_path, capsys, section, key, value):
+        raw = minimal_config()
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        with pytest.raises(ScenarioError, match=key):
+            parse_scenario(json.dumps(raw))
+        assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("second", [[1.0004, 0.0], [1.0, 0.0]])
+    def test_positions_sharing_a_file_name_rejected(self, tmp_path, second):
+        raw = minimal_config()
+        raw["target"]["positions_m"] = [[1.0, 0.0], [1.0, 0.5], second]
+        with pytest.raises(ScenarioError, match=r"positions_m\[0\] and \[2\]"):
+            load_scenario(write_config(tmp_path, raw))
+
     def test_array_factor_only_needs_no_target(self):
         cfg = load_preset("paper_fig3")
         assert cfg.positions == ()
@@ -211,6 +239,37 @@ class TestExport:
         spectrum = next(p for p in paths if p.name == "doa_spectrum_x1.000_y0.000.dat")
         data_line = spectrum.read_text().splitlines()[2]
         assert len(data_line.split()) == 2
+
+    @pytest.mark.parametrize("preset", ["paper_fig3", "paper_fig4"])
+    def test_column_files_carry_the_jsonl_values(self, tmp_path, preset):
+        table = run(load_preset(preset))
+        expected: dict[str, list] = {}
+        for line in export(table, "jsonl", tmp_path / "jsonl")[0].read_text().splitlines():
+            r = json.loads(line)
+            quantity = r["quantity"]
+            position = f"x{r['x_m']:.3f}_y{r['y_m']:.3f}" if r["x_m"] is not None else ""
+            if quantity == "mean_excess_attenuation_db":
+                name, record = "mean_attenuation", (r["x_m"], r["y_m"], r["value"])
+            elif quantity == "doa_excess_attenuation_db":
+                name, record = f"doa_spectrum_{position}", (r["index"], r["value"])
+            elif quantity == "excess_attenuation_antenna_db":
+                name, record = f"per_antenna_{position}", (r["index"], r["value"])
+            else:
+                spacing = quantity.removeprefix("array_factor_db[da=").removesuffix("]")
+                name, record = f"array_factor_da{spacing}", (r["index"], r["value"])
+            expected.setdefault(name, []).append(tuple(float(v) for v in record))
+        assert expected
+
+        for fmt, sep in (("csv", ","), ("gnuplot", None)):
+            paths = export(table, fmt, tmp_path / fmt)
+            got = {
+                p.stem: [
+                    tuple(float(v) for v in line.split(sep))
+                    for line in p.read_text().splitlines()[2:]
+                ]
+                for p in paths
+            }
+            assert got == expected
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
