@@ -17,31 +17,24 @@ from .array_model import (
 )
 from .em_model import (
     converged_field_ratio_vector,
-    excess_attenuation_antenna,
     excess_attenuation_db,
     field_ratio,
     field_ratio_vector,
-    field_vs_central,
     free_space_ratio,
     free_space_ratio_vector,
 )
 from .geometry import (
     SPEED_OF_LIGHT,
     ArraySpec,
-    LinkGeometry,
     QuadratureGrid,
     Scene,
     TargetSheet,
     antenna_positions,
     discretize_sheet,
-    link_geometry,
 )
 from .sensing import (
     DoaSpectrum,
-    Snapshot,
     attenuation_spectrum_from_snapshots,
-    beamform,
-    beamformed_power,
     boresight_steering,
     doa_attenuation_spectrum,
     field_autocorrelation,
@@ -55,32 +48,25 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "ArraySpec",
     "DoaSpectrum",
-    "LinkGeometry",
     "QuadratureGrid",
     "Scene",
-    "Snapshot",
     "TargetSheet",
     "antenna_positions",
     "array_factor",
     "array_factor_closed_form",
     "attenuation_spectrum_from_snapshots",
-    "beamform",
-    "beamformed_power",
     "boresight_steering",
     "converged_field_ratio_vector",
     "discretize_sheet",
     "doa_attenuation_spectrum",
-    "excess_attenuation_antenna",
     "excess_attenuation_db",
     "field_autocorrelation",
     "field_ratio",
     "field_ratio_vector",
-    "field_vs_central",
     "first_lobe_width",
     "free_space_ratio",
     "free_space_ratio_vector",
     "fresnel_first_zone_minor_axis",
-    "link_geometry",
     "mean_attenuation_from_snapshots",
     "mean_excess_attenuation",
     "nearfield_steering",

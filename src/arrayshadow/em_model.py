@@ -112,29 +112,6 @@ def field_ratio_vector(
     return out
 
 
-def field_vs_central(
-    scene: Scene,
-    target: TargetSheet | None,
-    antenna_index: int,
-    grid: QuadratureGrid | None = None,
-) -> complex:
-    """Perturbed field at antenna m relative to the central reference field."""
-    return free_space_ratio(scene, antenna_index) * field_ratio(
-        scene, target, antenna_index, grid
-    )
-
-
-def excess_attenuation_antenna(
-    scene: Scene,
-    target: TargetSheet | None,
-    antenna_index: int,
-    grid: QuadratureGrid | None = None,
-) -> float:
-    """Excess attenuation in dB seen by one antenna; +inf on total blockage."""
-    ratio = field_ratio(scene, target, antenna_index, grid)
-    return excess_attenuation_db(ratio)
-
-
 def excess_attenuation_db(ratio) -> float | np.ndarray:
     """Convert field ratios to excess attenuation, -20 log10 |ratio| in dB."""
     mag = np.abs(ratio)
@@ -154,14 +131,16 @@ def converged_field_ratio_vector(
 ) -> tuple[np.ndarray, float]:
     """Field ratios with step halving until the change drops below rel_tol.
 
-    Starts from ``initial_step`` (default lambda/10) and halves the grid
-    step until the worst per-antenna relative change between successive
-    grids is below ``rel_tol``. Returns the converged vector and the step
-    that produced it.
+    Starts from ``min(initial_step, lambda/10)`` (default lambda/10), the
+    step ``discretize_sheet`` actually uses, and halves the grid step until
+    the worst per-antenna relative change between successive grids is below
+    ``rel_tol``. Returns the converged vector and the step that produced it.
     """
     if target is None:
         return np.ones(scene.array.num_elements, dtype=complex), 0.0
-    step = scene.wavelength / 10.0 if initial_step is None else initial_step
+    step = scene.wavelength / 10.0
+    if initial_step is not None:
+        step = min(initial_step, step)
     grid = discretize_sheet(target, scene, step)
     current = field_ratio_vector(scene, target, grid)
     for _ in range(max_refinements):

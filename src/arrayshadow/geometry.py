@@ -109,21 +109,6 @@ class TargetSheet:
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
-    """Per-antenna link distances and barycenter projections.
-
-    ``tx_projection_distances[i] + rx_projection_distances[i]`` equals
-    ``antenna_distances[i]`` whenever the projection falls inside the
-    i-th TX-RX segment.
-    """
-
-    antenna_distances: np.ndarray       # d_m, shape (2M+1,)
-    projection_points: np.ndarray       # shape (2M+1, 3)
-    tx_projection_distances: np.ndarray  # d_1m
-    rx_projection_distances: np.ndarray  # d_2m
-
-
-@dataclass(frozen=True)
 class QuadratureGrid:
     """Midpoint-rule nodes covering a target sheet."""
 
@@ -143,43 +128,6 @@ def antenna_positions(scene: Scene) -> np.ndarray:
     offsets[:, 0] = spec.central_distance
     offsets[:, 1] = spec.indices * spec.spacing
     return scene.tx + offsets
-
-
-def sheet_center(scene: Scene, target: TargetSheet) -> np.ndarray:
-    """Barycenter of the target sheet lifted into 3-D at the link height."""
-    x, y = target.barycenter
-    return np.array([x, y, scene.link_height])
-
-
-def link_geometry(scene: Scene, target: TargetSheet) -> LinkGeometry:
-    """Distances d_m and projections of the target barycenter on each link.
-
-    Raises
-    ------
-    ValueError
-        If the barycenter coincides with the transmitter or an antenna.
-    """
-    tx = scene.tx
-    rx = antenna_positions(scene)
-    p = sheet_center(scene, target)
-
-    if np.linalg.norm(p - tx) < 1e-12 or np.min(np.linalg.norm(rx - p, axis=1)) < 1e-12:
-        raise ValueError("degenerate geometry: target barycenter coincides with an antenna")
-
-    axis = rx - tx
-    d_m = np.linalg.norm(axis, axis=1)
-    unit = axis / d_m[:, None]
-    # clamp to the segment so d1 + d2 = d_m also holds at the endpoints
-    t = np.clip(unit @ (p - tx), 0.0, d_m)
-    proj = tx + t[:, None] * unit
-    d1 = np.linalg.norm(proj - tx, axis=1)
-    d2 = np.linalg.norm(proj - rx, axis=1)
-    return LinkGeometry(
-        antenna_distances=d_m,
-        projection_points=proj,
-        tx_projection_distances=d1,
-        rx_projection_distances=d2,
-    )
 
 
 def discretize_sheet(
@@ -208,7 +156,7 @@ def discretize_sheet(
     theta = target.rotation
     in_plane = np.array([-np.sin(theta), np.cos(theta), 0.0])
     vertical = np.array([0.0, 0.0, 1.0])
-    center = sheet_center(scene, target)
+    center = np.array([*target.barycenter, scene.link_height])
 
     yy, zz = np.meshgrid(mids_y, mids_z, indexing="ij")
     points = (

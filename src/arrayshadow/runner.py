@@ -167,12 +167,19 @@ def _position_tag(x: float, y: float) -> str:
     return f"x{x:.3f}_y{y:.3f}"
 
 
+def _spacing_tag(spacing: float, wavelength: float) -> str:
+    """Spacing in wavelengths for array-factor file names; spacings equal to 6 digits share it."""
+    return f"{spacing / wavelength:g}"
+
+
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse and validate a JSON scenario; collects every validation error."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{source}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # oversized integer, nesting too deep
+        raise ScenarioError(f"{source}: {e}") from e
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: top level must be a JSON object")
 
@@ -232,6 +239,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         step = wavelength / 10.0
     elif step <= 0.0:
         errors.append("processing.quadrature_step must be positive")
+    elif step > wavelength / 10.0 * (1.0 + 1e-9):  # slack: 0.1 * lam may exceed lam / 10
+        errors.append("processing.quadrature_step must not exceed lambda/10, the grid's cap")
     rel_tol = _number(proc.get("quadrature_rel_tol"), "processing.quadrature_rel_tol", errors, None)
     if rel_tol is not None and rel_tol <= 0.0:
         errors.append("processing.quadrature_rel_tol must be positive when given")
@@ -261,6 +270,11 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     )
     if any(s <= 0.0 for s in af_spacings):
         errors.append(f"{label} must be positive")
+    first_with_tag = {}
+    for i, s in enumerate(af_spacings):
+        j = first_with_tag.setdefault(_spacing_tag(s, wavelength), i)
+        if j != i and not math.isnan(s):
+            errors.append(f"{label}[{j}] and [{i}] would share export files")
     af_points = _number(
         af_raw.get("gamma_points"), "array_factor.gamma_points", errors, 721, integer=True
     )
@@ -357,9 +371,9 @@ def _array_factor_rows(config: ScenarioConfig, scene: Scene) -> list[Row]:
     w = uniform_weights(config.half_count)
     gammas_deg = np.linspace(0.0, 180.0, config.array_factor_points)[1:-1]
     for spacing in config.array_factor_spacings:
-        ratio = spacing / scene.wavelength
-        quantity = f"array_factor_db[da={ratio:g}lam]"
-        stem = f"array_factor_da{ratio:g}lam"
+        tag = _spacing_tag(spacing, scene.wavelength)
+        quantity = f"array_factor_db[da={tag}lam]"
+        stem = f"array_factor_da{tag}lam"
         for gamma_deg in gammas_deg:
             a = planar_steering(config.half_count, spacing, scene.wavelength, math.radians(gamma_deg))
             magnitude = abs(array_factor(w, a))

@@ -18,16 +18,6 @@ from .geometry import QuadratureGrid, Scene, TargetSheet
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """One vector of complex received fields across the array."""
-
-    r: np.ndarray
-    occupancy: int
-    noise_std: float
-    seed: int | None
-
-
-@dataclass(frozen=True)
 class DoaSpectrum:
     """Excess attenuation sampled against direction of arrival.
 
@@ -37,7 +27,6 @@ class DoaSpectrum:
 
     gamma_grid: np.ndarray
     excess_attenuation_db: np.ndarray
-    n_fft: int
 
     def attenuation_at(self, gamma: float) -> float:
         """Attenuation at the grid point nearest to ``gamma`` (rad)."""
@@ -67,7 +56,7 @@ def snapshot(
     noise_std: float = 0.0,
     seed: int | None = None,
     grid: QuadratureGrid | None = None,
-) -> Snapshot:
+) -> np.ndarray:
     """Received-field vector for the empty (0) or occupied (1) scene.
 
     With occupancy 1 the per-antenna field ratios multiply the broadside
@@ -92,7 +81,7 @@ def snapshot(
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
         r = r + noise
-    return Snapshot(r=r, occupancy=occupancy, noise_std=noise_std, seed=seed)
+    return r
 
 
 def field_autocorrelation(ratios: np.ndarray) -> np.ndarray:
@@ -103,26 +92,6 @@ def field_autocorrelation(ratios: np.ndarray) -> np.ndarray:
     """
     ratios = np.asarray(ratios, dtype=complex)
     return np.outer(ratios, ratios.conj())
-
-
-def beamform(weights: np.ndarray, r) -> complex:
-    """Beamformer output w^H r for a snapshot or a raw field vector."""
-    vec = r.r if isinstance(r, Snapshot) else np.asarray(r)
-    weights = np.asarray(weights)
-    if weights.shape != vec.shape:
-        raise ValueError(f"length mismatch: weights {weights.shape} vs r {vec.shape}")
-    return complex(np.vdot(weights, vec))
-
-
-def beamformed_power(weights: np.ndarray, covariance: np.ndarray) -> float:
-    """Output power w^H R w; real for Hermitian R."""
-    weights = np.asarray(weights)
-    covariance = np.asarray(covariance)
-    if covariance.shape != (weights.size, weights.size):
-        raise ValueError(
-            f"dimension mismatch: weights {weights.size} vs covariance {covariance.shape}"
-        )
-    return float(np.real(np.conj(weights) @ covariance @ weights))
 
 
 def mean_excess_attenuation(
@@ -198,11 +167,7 @@ def attenuation_spectrum_from_snapshots(
         attenuation = 20.0 * np.log10(np.abs(spec0[valid]) / np.abs(spec1[valid]))
 
     order = np.argsort(gamma)
-    return DoaSpectrum(
-        gamma_grid=gamma[order],
-        excess_attenuation_db=attenuation[order],
-        n_fft=n_fft,
-    )
+    return DoaSpectrum(gamma_grid=gamma[order], excess_attenuation_db=attenuation[order])
 
 
 def doa_attenuation_spectrum(
@@ -212,11 +177,11 @@ def doa_attenuation_spectrum(
     grid: QuadratureGrid | None = None,
 ) -> DoaSpectrum:
     """DoA excess-attenuation spectrum from noiseless snapshot pairs."""
-    r0 = snapshot(scene, occupancy=0).r
+    r0 = snapshot(scene, occupancy=0)
     if target is None:
         r1 = r0
     else:
-        r1 = snapshot(scene, target, occupancy=1, grid=grid).r
+        r1 = snapshot(scene, target, occupancy=1, grid=grid)
     return attenuation_spectrum_from_snapshots(
         r0, r1, scene.array.spacing, scene.wavelength, n_fft
     )

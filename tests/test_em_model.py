@@ -8,11 +8,9 @@ from arrayshadow import (
     antenna_positions,
     converged_field_ratio_vector,
     discretize_sheet,
-    excess_attenuation_antenna,
     excess_attenuation_db,
     field_ratio,
     field_ratio_vector,
-    field_vs_central,
     free_space_ratio,
     free_space_ratio_vector,
 )
@@ -77,7 +75,7 @@ class TestFieldRatio:
 
     def test_on_los_attenuation_matches_reported_range(self, paper_scene):
         grid = discretize_sheet(make_paper_target(), paper_scene)
-        att = excess_attenuation_antenna(paper_scene, make_paper_target(), 0, grid)
+        att = excess_attenuation_db(field_ratio(paper_scene, make_paper_target(), 0, grid))
         assert 13.0 <= att <= 17.0
 
     def test_vector_consistent_with_scalar(self, paper_scene):
@@ -117,45 +115,20 @@ class TestFieldRatio:
             field_ratio(paper_scene, make_paper_target(), 0, on_m2)
 
     def test_knife_edge_on_central_los(self, paper_scene):
-        att = excess_attenuation_antenna(paper_scene, edge_sheet(0.0), 0)
+        att = excess_attenuation_db(field_ratio(paper_scene, edge_sheet(0.0), 0))
         assert att == pytest.approx(6.02, abs=0.1)
 
     def test_knife_edge_on_outer_antenna_los(self, paper_scene):
         # the m=2 ray crosses the sheet plane at half its transverse offset
         edge_y = 0.5 * 2 * WAVELENGTH / 2
         target = edge_sheet(edge_y)
-        att = excess_attenuation_antenna(paper_scene, target, 2)
+        att = excess_attenuation_db(field_ratio(paper_scene, target, 2))
         assert att == pytest.approx(6.02, abs=0.1)
-
-
-class TestFieldVsCentral:
-    def test_no_target_reduces_to_free_space(self, paper_scene):
-        for m in range(-2, 3):
-            assert field_vs_central(paper_scene, None, m) == pytest.approx(
-                free_space_ratio(paper_scene, m), rel=1e-14
-            )
-
-    def test_central_antenna_reduces_to_field_ratio(self, paper_scene):
-        target = make_paper_target()
-        grid = discretize_sheet(target, paper_scene)
-        assert field_vs_central(paper_scene, target, 0, grid) == pytest.approx(
-            field_ratio(paper_scene, target, 0, grid), rel=1e-14
-        )
-
-    def test_modulus_is_product(self, paper_scene):
-        target = make_paper_target(1.0, 0.25)
-        grid = discretize_sheet(target, paper_scene)
-        for m in (-2, 1):
-            combined = abs(field_vs_central(paper_scene, target, m, grid))
-            expected = abs(free_space_ratio(paper_scene, m)) * abs(
-                field_ratio(paper_scene, target, m, grid)
-            )
-            assert combined == pytest.approx(expected, rel=1e-12)
 
 
 class TestExcessAttenuation:
     def test_no_target_zero_db(self, paper_scene):
-        assert excess_attenuation_antenna(paper_scene, None, 0) == 0.0
+        assert excess_attenuation_db(field_ratio(paper_scene, None, 0)) == 0.0
 
     def test_total_blockage_sentinel(self):
         assert excess_attenuation_db(0.0) == np.inf
@@ -192,6 +165,17 @@ class TestQuadratureConvergence:
             paper_scene, target, discretize_sheet(target, paper_scene, step)
         )
         assert_allclose(again, ratios, rtol=1e-12)
+
+    def test_initial_step_above_grid_cap_still_refines(self, paper_scene):
+        # the grid never goes coarser than lambda/10, so halving starts there
+        target = TargetSheet((1.0, 0.1), 0.1, 0.2)
+        ratios, step = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4)
+        coarse, coarse_step = converged_field_ratio_vector(
+            paper_scene, target, rel_tol=1e-4, initial_step=WAVELENGTH / 2
+        )
+        assert step == pytest.approx(WAVELENGTH / 80, rel=1e-12)
+        assert coarse_step == step
+        assert_allclose(coarse, ratios, rtol=0, atol=0)
 
     def test_agrees_with_dense_oracle_on_desk_geometries(self, paper_scene):
         for y in (-0.25, 0.0, 0.25):

@@ -8,7 +8,7 @@ from arrayshadow import (
     TargetSheet,
     antenna_positions,
     discretize_sheet,
-    link_geometry,
+    field_ratio_vector,
 )
 from conftest import WAVELENGTH, make_paper_scene, make_paper_target
 
@@ -41,37 +41,6 @@ class TestAntennaPositions:
     def test_all_at_link_height(self, paper_scene):
         pos = antenna_positions(paper_scene)
         assert_allclose(pos[:, 2], 0.9)
-
-
-class TestLinkGeometry:
-    def test_collinear_projection(self, paper_scene):
-        geom = link_geometry(paper_scene, make_paper_target(1.0, 0.0))
-        assert geom.antenna_distances[2] == pytest.approx(4.0)
-        assert geom.tx_projection_distances[2] == pytest.approx(1.0)
-        assert geom.rx_projection_distances[2] == pytest.approx(3.0)
-
-    def test_outer_antenna_distance(self, paper_scene):
-        geom = link_geometry(paper_scene, make_paper_target(1.0, 0.0))
-        expected = np.hypot(4.0, 2 * WAVELENGTH / 2)
-        assert geom.antenna_distances[4] == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(4.001817, abs=5e-6)
-
-    def test_projection_additivity(self, paper_scene):
-        for y in (-0.4, 0.0, 0.7):
-            geom = link_geometry(paper_scene, make_paper_target(1.3, y))
-            assert_allclose(
-                geom.tx_projection_distances + geom.rx_projection_distances,
-                geom.antenna_distances,
-                rtol=1e-12,
-            )
-
-    def test_degenerate_at_tx(self, paper_scene):
-        with pytest.raises(ValueError, match="degenerate"):
-            link_geometry(paper_scene, make_paper_target(0.0, 0.0))
-
-    def test_degenerate_at_rx(self, paper_scene):
-        with pytest.raises(ValueError, match="degenerate"):
-            link_geometry(paper_scene, make_paper_target(4.0, 0.0))
 
 
 class TestDiscretizeSheet:
@@ -129,11 +98,9 @@ class TestFrameProperties:
             link_height=0.9,
             tx_position=(5.0, -3.0, 0.9),
         )
-        g0 = link_geometry(base, make_paper_target(1.0, 0.25))
-        g1 = link_geometry(shifted, make_paper_target(6.0, -2.75))
-        assert_allclose(g1.antenna_distances, g0.antenna_distances, rtol=1e-9)
-        assert_allclose(g1.tx_projection_distances, g0.tx_projection_distances, rtol=0, atol=1e-9)
-        assert_allclose(g1.rx_projection_distances, g0.rx_projection_distances, rtol=0, atol=1e-9)
+        r0 = field_ratio_vector(base, make_paper_target(1.0, 0.25))
+        r1 = field_ratio_vector(shifted, make_paper_target(6.0, -2.75))
+        assert_allclose(r1, r0, rtol=1e-9)
 
     def test_mirror_maps_node_distances_to_opposite_antenna(self, paper_scene):
         pos = antenna_positions(paper_scene)

@@ -141,6 +141,39 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"positions_m\[0\] and \[2\]"):
             load_scenario(write_config(tmp_path, raw))
 
+    @pytest.mark.parametrize("second", [0.5000001, 0.5])
+    def test_spacings_sharing_a_file_name_rejected(self, tmp_path, second):
+        raw = minimal_config(
+            outputs=["array_factor"], array_factor={"spacings_wavelengths": [0.5, second]}
+        )
+        with pytest.raises(ScenarioError, match=r"spacings_wavelengths\[0\] and \[1\]"):
+            load_scenario(write_config(tmp_path, raw))
+
+    @pytest.mark.parametrize("text", [
+        '{"scene": ' + "1" * 5000 + "}",
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["oversized_integer", "nested_too_deep"])
+    def test_unreadable_json_rejected_cleanly(self, tmp_path, capsys, text):
+        with pytest.raises(ScenarioError):
+            parse_scenario(text)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert cli_main(["validate", str(path)]) == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_quadrature_step_capped_at_a_tenth_wavelength(self, tmp_path, capsys):
+        # 0.1 * lambda is one ulp above lambda / 10 at 3 and 5.8 GHz
+        for fc in (2.4868e9, 3e9, 5.8e9):
+            raw = minimal_config(processing={"quadrature_step_wavelengths": 0.1})
+            raw["scene"]["carrier_frequency_hz"] = fc
+            parse_scenario(json.dumps(raw))
+        for processing in ({"quadrature_step_wavelengths": 0.5}, {"quadrature_step_m": 0.05}):
+            raw = minimal_config(processing=processing)
+            with pytest.raises(ScenarioError, match="quadrature_step must not exceed"):
+                parse_scenario(json.dumps(raw))
+            assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
+            assert "error" in capsys.readouterr().err
+
     def test_array_factor_only_needs_no_target(self):
         cfg = load_preset("paper_fig3")
         assert cfg.positions == ()
