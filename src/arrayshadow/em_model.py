@@ -24,6 +24,9 @@ from .geometry import (
 )
 
 _MIN_CLEARANCE = 1e-9  # m; below this a grid node sits on an antenna
+# Nodes per block of temporaries: a block's arrays stay in cache and below
+# malloc's mmap threshold, so large grids cost the same from run to run.
+_BLOCK_NODES = 4096
 
 
 def _check_index(scene: Scene, antenna_index: int) -> None:
@@ -87,7 +90,9 @@ def field_ratio_vector(
     """Field ratios for all antennas, reusing one grid across the array.
 
     The sheet discretization and the transmitter-side distances do not
-    depend on the antenna, so they are computed once.
+    depend on the antenna, so they are computed once. Each antenna's node
+    contributions are computed block by block into one array and summed
+    whole, so the result does not depend on the block size.
     """
     n = scene.array.num_elements
     if target is None:
@@ -95,7 +100,11 @@ def field_ratio_vector(
     if grid is None:
         grid = discretize_sheet(target, scene)
 
-    r1 = np.linalg.norm(grid.points - scene.tx, axis=1)
+    points, areas = grid.points, grid.areas
+    blocks = [slice(start, start + _BLOCK_NODES) for start in range(0, len(areas), _BLOCK_NODES)]
+    r1 = np.empty(len(areas))
+    for b in blocks:
+        r1[b] = np.linalg.norm(points[b] - scene.tx, axis=1)
     if r1.min() < _MIN_CLEARANCE:
         raise ValueError("target intersects antenna")
     k = 2.0 * np.pi / scene.wavelength
@@ -103,11 +112,13 @@ def field_ratio_vector(
     dm_all = np.linalg.norm(rx_all - scene.tx, axis=1)
 
     out = np.empty(n, dtype=complex)
+    contributions = np.empty(len(areas), dtype=complex)
     for i in range(n):
-        r2 = np.linalg.norm(grid.points - rx_all[i], axis=1)
-        if r2.min() < _MIN_CLEARANCE:
-            raise ValueError("target intersects antenna")
-        contributions = np.exp(-1j * k * (r1 + r2 - dm_all[i])) / (r1 * r2) * grid.areas
+        for b in blocks:
+            r2 = np.linalg.norm(points[b] - rx_all[i], axis=1)
+            if r2.min() < _MIN_CLEARANCE:
+                raise ValueError("target intersects antenna")
+            contributions[b] = np.exp(-1j * k * (r1[b] + r2 - dm_all[i])) / (r1[b] * r2) * areas[b]
         out[i] = 1.0 - 1j * (dm_all[i] / scene.wavelength) * np.sum(contributions)
     return out
 
@@ -127,7 +138,6 @@ def converged_field_ratio_vector(
     target: TargetSheet | None,
     rel_tol: float = 1e-4,
     initial_step: float | None = None,
-    max_refinements: int = 8,
 ) -> tuple[np.ndarray, float]:
     """Field ratios with step halving until the change drops below rel_tol.
 
@@ -135,6 +145,8 @@ def converged_field_ratio_vector(
     step ``discretize_sheet`` actually uses, and halves the grid step until
     the worst per-antenna relative change between successive grids is below
     ``rel_tol``. Returns the converged vector and the step that produced it.
+    When the next grid would exceed ``geometry.MAX_GRID_NODES``, raises
+    ValueError giving the change reached.
     """
     if target is None:
         return np.ones(scene.array.num_elements, dtype=complex), 0.0
@@ -143,14 +155,18 @@ def converged_field_ratio_vector(
         step = min(initial_step, step)
     grid = discretize_sheet(target, scene, step)
     current = field_ratio_vector(scene, target, grid)
-    for _ in range(max_refinements):
+    change = np.inf  # no refinement compared yet
+    while True:
         step /= 2.0
-        grid = discretize_sheet(target, scene, step)
+        try:
+            grid = discretize_sheet(target, scene, step)
+        except ValueError as e:
+            raise ValueError(
+                f"quadrature stopped at relative change {change:.3g} against "
+                f"rel_tol {rel_tol:g}: {e}"
+            ) from e
         refined = field_ratio_vector(scene, target, grid)
         change = np.max(np.abs(refined - current) / np.maximum(np.abs(refined), 1e-300))
         current = refined
         if change < rel_tol:
             return current, step
-    raise RuntimeError(
-        f"quadrature did not converge to {rel_tol:g} within {max_refinements} refinements"
-    )

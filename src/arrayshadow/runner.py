@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,21 @@ from .sensing import (
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
 
 _FLOAT_FMT = ".9g"  # significant digits pinned for byte-stable exports
+
+# Every key a scenario section may hold; any other key is a ScenarioError.
+_KNOWN_KEYS = {
+    "": ("scene", "target", "processing", "outputs", "array_factor"),
+    "scene": (
+        "carrier_frequency_hz", "central_distance_m", "half_count",
+        "spacing_m", "spacing_wavelengths", "link_height_m",
+    ),
+    "target": ("half_width_m", "half_height_m", "rotation_deg", "positions_m"),
+    "processing": (
+        "n_fft", "quadrature_step_m", "quadrature_step_wavelengths",
+        "quadrature_rel_tol", "noise_std", "seed",
+    ),
+    "array_factor": ("spacings_wavelengths", "gamma_points"),
+}
 
 
 class ScenarioError(Exception):
@@ -96,16 +112,14 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class Row:
-    """One exported value; ``index`` is an antenna index or a DoA in degrees."""
+class Row(NamedTuple):
+    """One exported value in dB; ``index`` is an antenna index or a DoA in degrees."""
 
     x: float | None
     y: float | None
     index: float | int | None
     quantity: str
     value: float
-    units: str
     stem: str  # csv/gnuplot file name, without suffix
 
 
@@ -148,6 +162,18 @@ def _typed(value, kind: type, label: str, errors: list, default):
     return value
 
 
+def _quoted(text: str) -> str:
+    """``text`` in quotes, cut to 40 characters, for echoing input in a message."""
+    return f"'{text}'" if len(text) <= 40 else f"'{text[:40]}...'"
+
+
+def _check_keys(section: dict, name: str, errors: list) -> None:
+    """Record every key of ``section`` that ``_KNOWN_KEYS[name]`` does not list."""
+    for key in section:
+        if key not in _KNOWN_KEYS[name]:
+            errors.append(f"{name or 'top level'}: unknown key {_quoted(key)}")
+
+
 def _length(raw: dict, key: str, wavelength: float, errors: list, context: str) -> float | None:
     """Resolve a '<key>_m' or '<key>_wavelengths' pair to meters."""
     meters = _number(raw.get(f"{key}_m"), f"{context}.{key}_m", errors, None)
@@ -184,10 +210,13 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ScenarioError(f"{source}: top level must be a JSON object")
 
     errors: list[str] = []
+    _check_keys(raw, "", errors)
 
     scene_raw = raw.get("scene")
     if not isinstance(scene_raw, dict):
-        raise ScenarioError(f"{source}: missing required 'scene' section")
+        errors.append("missing required 'scene' section")
+        raise ScenarioError(f"{source}: invalid scenario\n  - " + "\n  - ".join(errors))
+    _check_keys(scene_raw, "scene", errors)
 
     fc = _number(scene_raw.get("carrier_frequency_hz"), "scene.carrier_frequency_hz", errors, 0.0)
     if fc <= 0.0:
@@ -211,6 +240,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     link_height = _number(scene_raw.get("link_height_m"), "scene.link_height_m", errors, 0.0)
 
     target_raw = _typed(raw.get("target"), dict, "target", errors, {})
+    _check_keys(target_raw, "target", errors)
     half_width = _number(target_raw.get("half_width_m"), "target.half_width_m", errors, None)
     half_height = _number(target_raw.get("half_height_m"), "target.half_height_m", errors, None)
     if half_width is not None and half_width <= 0.0:
@@ -231,6 +261,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             errors.append(f"{label}[{j}] and [{i}] are within 1 mm and would share export files")
 
     proc = _typed(raw.get("processing"), dict, "processing", errors, {})
+    _check_keys(proc, "processing", errors)
     n_fft = _number(proc.get("n_fft"), "processing.n_fft", errors, 257, integer=True)
     if n_fft < 2 * half_count + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
@@ -252,9 +283,13 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     outputs = tuple(_typed(raw.get("outputs"), list, "outputs", errors, []))
     if not outputs:
         errors.append("outputs: at least one output kind is required")
-    for kind in outputs:
-        if kind not in OUTPUT_KINDS:
-            errors.append(f"outputs: unknown kind '{kind}' (choose from {', '.join(OUTPUT_KINDS)})")
+    for i, kind in enumerate(outputs):
+        if not isinstance(kind, str):
+            errors.append(f"outputs[{i}] must be a string")
+        elif kind not in OUTPUT_KINDS:
+            errors.append(
+                f"outputs: unknown kind {_quoted(kind)} (choose from {', '.join(OUTPUT_KINDS)})"
+            )
 
     if any(k != "array_factor" for k in outputs):
         if half_width is None or half_height is None:
@@ -263,6 +298,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             errors.append("target.positions_m must be non-empty for attenuation outputs")
 
     af_raw = _typed(raw.get("array_factor"), dict, "array_factor", errors, {})
+    _check_keys(af_raw, "array_factor", errors)
     label = "array_factor.spacings_wavelengths"
     af_spacings = tuple(
         _number(s, label, errors) * wavelength
@@ -337,30 +373,26 @@ def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]
         r_empty = boresight_steering(scene)
         r_occupied = r_empty * ratios
 
+        # quantities in name order, each by ascending index: the export order
         rows: list[Row] = []
-        if "per_antenna_attenuation" in config.outputs:
-            stem = f"per_antenna_{tag}"
-            for m, value in zip(scene.array.indices, excess_attenuation_db(ratios)):
-                rows.append(Row(
-                    x, y, int(m), "excess_attenuation_antenna_db", float(value), "dB", stem,
-                ))
-        if "mean_attenuation" in config.outputs:
-            value = mean_attenuation_from_snapshots(
-                uniform_weights(scene.array.half_count), r_empty, r_occupied
-            )
-            rows.append(Row(
-                x, y, None, "mean_excess_attenuation_db", value, "dB", "mean_attenuation",
-            ))
         if "doa_spectrum" in config.outputs:
             spectrum = attenuation_spectrum_from_snapshots(
                 r_empty, r_occupied, scene.array.spacing, scene.wavelength, config.n_fft
             )
             stem = f"doa_spectrum_{tag}"
-            for gamma, value in zip(spectrum.gamma_grid, spectrum.excess_attenuation_db):
-                rows.append(Row(
-                    x, y, float(np.degrees(gamma)), "doa_excess_attenuation_db", float(value),
-                    "dB", stem,
-                ))
+            gammas = np.degrees(spectrum.gamma_grid).tolist()
+            for gamma, value in zip(gammas, spectrum.excess_attenuation_db.tolist()):
+                rows.append(Row(x, y, gamma, "doa_excess_attenuation_db", value, stem))
+        if "per_antenna_attenuation" in config.outputs:
+            stem = f"per_antenna_{tag}"
+            values = excess_attenuation_db(ratios).tolist()
+            for m, value in zip(scene.array.indices.tolist(), values):
+                rows.append(Row(x, y, m, "excess_attenuation_antenna_db", value, stem))
+        if "mean_attenuation" in config.outputs:
+            value = mean_attenuation_from_snapshots(
+                uniform_weights(scene.array.half_count), r_empty, r_occupied
+            )
+            rows.append(Row(x, y, None, "mean_excess_attenuation_db", value, "mean_attenuation"))
         return rows
     except ValueError as e:
         raise SimulationError(f"position ({x:g}, {y:g}): {e}") from e
@@ -378,15 +410,16 @@ def _array_factor_rows(config: ScenarioConfig, scene: Scene) -> list[Row]:
             a = planar_steering(config.half_count, spacing, scene.wavelength, math.radians(gamma_deg))
             magnitude = abs(array_factor(w, a))
             value = float("-inf") if magnitude == 0.0 else float(20.0 * np.log10(magnitude))
-            rows.append(Row(None, None, float(gamma_deg), quantity, value, "dB", stem))
+            rows.append(Row(None, None, float(gamma_deg), quantity, value, stem))
     return rows
 
 
 def run(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
     """Evaluate every requested quantity at every position.
 
-    Positions are independent and run on up to ``jobs`` threads; row order
-    is deterministic regardless of ``jobs``.
+    Positions are independent and run on up to ``jobs`` threads. Rows come
+    in export order whatever ``jobs`` is: array-factor curves in
+    ``array_factor_spacings`` order, then positions sorted by (x, y).
     """
     scene = config.scene()
     rows: list[Row] = []
@@ -397,11 +430,6 @@ def run(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
             chunks = pool.map(lambda p: _position_rows(config, scene, p), sorted(config.positions))
             rows.extend(row for chunk in chunks for row in chunk)
-
-    rows.sort(key=lambda r: (
-        r.x is not None, r.x or 0.0, r.y or 0.0, r.quantity,
-        r.index is not None, r.index or 0,
-    ))
     return ResultTable(rows=tuple(rows), config_hash=config.config_hash(), version=__version__)
 
 
@@ -454,7 +482,7 @@ def _export_jsonl(table: ResultTable, out_dir: Path) -> Path:
             "index": row.index if isinstance(row.index, (int, type(None))) else float(_fmt(row.index)),
             "quantity": row.quantity,
             "value": float(_fmt(row.value)) if math.isfinite(row.value) else row.value,
-            "units": row.units,
+            "units": "dB",
         }
         lines.append(json.dumps(record, allow_nan=True))
     path.write_text("\n".join(lines) + "\n")

@@ -11,12 +11,10 @@ import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from arrayshadow import (
     array_factor,
     array_factor_closed_form,
-    converged_field_ratio_vector,
     discretize_sheet,
     doa_attenuation_spectrum,
     excess_attenuation_db,
@@ -222,7 +220,7 @@ def test_criterion_09_knife_edge_oracle():
     )
 
 
-def test_criterion_10_structural_properties(tmp_path):
+def test_criterion_10_structural_properties(tmp_path, converged_on_los):
     scene = make_paper_scene()
 
     rng = np.random.default_rng(2024)
@@ -237,7 +235,7 @@ def test_criterion_10_structural_properties(tmp_path):
         rank_ok = rank_ok and hermitian and rank_one and psd
 
     target = make_paper_target(1.0, 0.0)
-    converged, step = converged_field_ratio_vector(scene, target, rel_tol=1e-4)
+    converged, step = converged_on_los
     coarse = field_ratio_vector(scene, target, discretize_sheet(target, scene, step * 2))
     halving_change = float(np.max(np.abs(converged - coarse) / np.abs(converged)))
     quad_ok = halving_change < 1e-4

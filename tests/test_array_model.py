@@ -11,7 +11,7 @@ from arrayshadow import (
     planar_steering,
     uniform_weights,
 )
-from conftest import WAVELENGTH, make_paper_scene
+from conftest import WAVELENGTH
 
 LAM = WAVELENGTH
 

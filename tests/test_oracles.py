@@ -9,7 +9,7 @@ from arrayshadow.oracles import (
     knife_edge_parameter,
     naive_dft,
 )
-from conftest import WAVELENGTH, make_paper_scene
+from conftest import WAVELENGTH
 
 
 class TestKnifeEdge:

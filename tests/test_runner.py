@@ -1,12 +1,14 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
+from arrayshadow import geometry
 from arrayshadow.cli import main as cli_main
 from arrayshadow.presets import PRESET_NAMES, load_preset, preset_text
 from arrayshadow.runner import (
     ScenarioError,
+    SimulationError,
     export,
     load_scenario,
     parse_scenario,
@@ -134,6 +136,35 @@ class TestLoadScenario:
         assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, typo", [
+        ("quadrature_rel_tol", "quadrature_rel_tl"),
+        ("noise_std", "noise"),
+        ("outputs", "outptus"),
+        ("scene", "scnee"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, capsys, key, typo):
+        raw = minimal_config(processing={"quadrature_rel_tol": 1e-4, "noise_std": 0.0})
+        text = json.dumps(raw).replace(f'"{key}"', f'"{typo}"')
+        with pytest.raises(ScenarioError, match=f"unknown key '{typo}'"):
+            parse_scenario(text)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert cli_main(["validate", str(path)]) == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, expected", [
+        ('"' + "k" * 100_000 + '"', "unknown kind 'kkkk"),
+        ("[" * 980 + "]" * 980, r"outputs\[0\] must be a string"),
+    ], ids=["long_kind", "nested_list"])
+    def test_echoed_input_kept_short(self, entry, expected):
+        text = json.dumps(minimal_config(outputs=["?"])).replace('"?"', entry)
+        # a new thread starts with the whole recursion limit, as the CLI does
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            parsed = pool.submit(parse_scenario, text)
+        with pytest.raises(ScenarioError, match=expected) as err:
+            parsed.result()
+        assert len(str(err.value)) < 300
+
     @pytest.mark.parametrize("second", [[1.0004, 0.0], [1.0, 0.0]])
     def test_positions_sharing_a_file_name_rejected(self, tmp_path, second):
         raw = minimal_config()
@@ -206,6 +237,7 @@ class TestRun:
         assert len(central) == 1
         assert 13.0 <= central[0]["value"] <= 17.0
         assert central[0]["config_hash"] == table.config_hash
+        assert central[0]["units"] == "dB"
 
     def test_sweep_equals_concatenated_single_runs(self, tmp_path):
         both = minimal_config()
@@ -221,10 +253,36 @@ class TestRun:
 
         strip = lambda rows: sorted(
             (r.x, r.y, float("-inf") if r.index is None else r.index,
-             r.quantity, r.value, r.units)
+             r.quantity, r.value)
             for r in rows
         )
         assert strip(table_both.rows) == strip(rows_single)
+
+    def test_rows_come_in_export_order(self):
+        rows = run(load_preset("paper_fig4")).rows
+        assert list(rows) == sorted(rows, key=lambda r: (
+            r.x, r.y, r.quantity, r.index is not None, r.index or 0,
+        ))
+        raw = minimal_config(
+            outputs=["array_factor"], array_factor={"spacings_wavelengths": [0.5, 0.1]}
+        )
+        quantities = dict.fromkeys(r.quantity for r in run(parse_scenario(json.dumps(raw))).rows)
+        assert list(quantities) == ["array_factor_db[da=0.5lam]", "array_factor_db[da=0.1lam]"]
+
+    @pytest.mark.parametrize("processing, budget, message", [
+        ({}, 1_000, "exceeds the budget"),
+        ({"quadrature_rel_tol": 1e-4}, 30_000, "relative change .* against rel_tol 0.0001"),
+    ], ids=["fixed_grid", "converged"])
+    def test_node_budget_fails_cleanly(
+        self, tmp_path, capsys, monkeypatch, processing, budget, message
+    ):
+        # lambda/10 desk grid: 6,900 nodes; lambda/20: 27,600; lambda/40: 110,400
+        monkeypatch.setattr(geometry, "MAX_GRID_NODES", budget)
+        path = write_config(tmp_path, minimal_config(processing=processing))
+        with pytest.raises(SimulationError, match=rf"position \(1, 0\): .*{message}"):
+            run(load_scenario(path))
+        assert cli_main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "budget" in capsys.readouterr().err
 
     def test_jobs_do_not_change_rows(self):
         cfg = load_preset("paper_fig6")
