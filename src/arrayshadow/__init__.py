@@ -34,20 +34,20 @@ from .geometry import (
 )
 from .sensing import (
     DoaSpectrum,
+    Observation,
     attenuation_spectrum_from_snapshots,
     boresight_steering,
-    doa_attenuation_spectrum,
     field_autocorrelation,
     fresnel_first_zone_minor_axis,
     mean_attenuation_from_snapshots,
-    mean_excess_attenuation,
-    snapshot,
+    observe,
 )
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "ArraySpec",
     "DoaSpectrum",
+    "Observation",
     "QuadratureGrid",
     "Scene",
     "TargetSheet",
@@ -58,7 +58,6 @@ __all__ = [
     "boresight_steering",
     "converged_field_ratio_vector",
     "discretize_sheet",
-    "doa_attenuation_spectrum",
     "excess_attenuation_db",
     "field_autocorrelation",
     "field_ratio",
@@ -68,9 +67,8 @@ __all__ = [
     "free_space_ratio_vector",
     "fresnel_first_zone_minor_axis",
     "mean_attenuation_from_snapshots",
-    "mean_excess_attenuation",
     "nearfield_steering",
+    "observe",
     "planar_steering",
-    "snapshot",
     "uniform_weights",
 ]

@@ -12,24 +12,26 @@ import numpy as np
 _ARCCOS_SLACK = 1e-12  # tolerated floating-point overshoot of |arg| past 1
 
 
-def _check_doa(doa: float) -> None:
-    if not 0.0 < doa < np.pi:
-        raise ValueError(f"DoA must lie in (0, pi), got {doa}")
+def _check_doa(doa) -> None:
+    doa = np.asarray(doa)
+    outside = doa[~((doa > 0.0) & (doa < np.pi))]
+    if outside.size:
+        raise ValueError(f"DoA must lie in (0, pi), got {outside[0]}")
 
 
 def planar_steering(
-    half_count: int, spacing: float, wavelength: float, doa: float
+    half_count: int, spacing: float, wavelength: float, doa
 ) -> np.ndarray:
     """Far-field (planar wavefront) steering vector, ordered m = -M .. +M.
 
     Element m is exp(+j m (2 pi / lambda) d_a cos gamma); the squared norm
-    equals 2M+1 exactly.
+    equals 2M+1 exactly. An array of DoAs gives one row per DoA.
     """
     _check_doa(doa)
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     m = np.arange(-half_count, half_count + 1)
-    phase = m * (2.0 * np.pi / wavelength) * spacing * np.cos(doa)
+    phase = np.multiply.outer(np.cos(doa), m * (2.0 * np.pi / wavelength) * spacing)
     return np.exp(1j * phase)
 
 
@@ -78,15 +80,19 @@ def uniform_weights(half_count: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def array_factor(weights: np.ndarray, steering: np.ndarray) -> complex:
-    """Array response w^T a (plain transpose, no conjugation)."""
+def array_factor(weights: np.ndarray, steering: np.ndarray) -> complex | np.ndarray:
+    """Array response w^T a (plain transpose, no conjugation).
+
+    A 2-D ``steering`` (one row per DoA) gives one response per row.
+    """
     weights = np.asarray(weights)
     steering = np.asarray(steering)
-    if weights.shape != steering.shape:
+    if weights.shape != steering.shape[-1:]:
         raise ValueError(
             f"length mismatch: weights {weights.shape} vs steering {steering.shape}"
         )
-    return complex(np.dot(weights, steering))
+    response = steering @ weights
+    return complex(response) if steering.ndim == 1 else response
 
 
 def array_factor_closed_form(

@@ -7,6 +7,7 @@ runtime or numerical error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -67,8 +68,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_MAX_ORACLE_POINTS = 1_000_000
+
+
+def _check_oracle_args(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 through ``parser.error`` unless the knife-edge range is printable."""
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        parser.error(f"--step must be positive and finite, got {args.step}")
+    for flag, value in (("--nu-min", args.nu_min), ("--nu-max", args.nu_max)):
+        if not math.isfinite(value):
+            parser.error(f"{flag} must be finite, got {value}")
+    points = (args.nu_max + args.step / 2.0 - args.nu_min) / args.step  # may overflow to inf
+    if points > _MAX_ORACLE_POINTS:
+        parser.error(f"--nu-min, --nu-max and --step give more than {_MAX_ORACLE_POINTS:,} points")
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "oracle":
+        _check_oracle_args(parser, args)
     try:
         if args.command == "simulate":
             config = with_seed(_resolve_config(args.config), args.seed)

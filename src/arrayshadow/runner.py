@@ -26,16 +26,12 @@ from .array_model import (
     planar_steering,
     uniform_weights,
 )
-from .em_model import (
-    converged_field_ratio_vector,
-    excess_attenuation_db,
-    field_ratio_vector,
-)
-from .geometry import SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, discretize_sheet
+from .em_model import excess_attenuation_db
+from .geometry import SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet
 from .sensing import (
     attenuation_spectrum_from_snapshots,
-    boresight_steering,
     mean_attenuation_from_snapshots,
+    observe,
 )
 
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
@@ -361,23 +357,15 @@ def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]
     x, y = xy
     tag = _position_tag(x, y)
     try:
-        target = config.target_at(x, y)
-        if config.quadrature_rel_tol is not None:
-            ratios, _ = converged_field_ratio_vector(
-                scene, target, rel_tol=config.quadrature_rel_tol,
-                initial_step=config.quadrature_step,
-            )
-        else:
-            grid = discretize_sheet(target, scene, config.quadrature_step)
-            ratios = field_ratio_vector(scene, target, grid)
-        r_empty = boresight_steering(scene)
-        r_occupied = r_empty * ratios
+        obs = observe(
+            scene, config.target_at(x, y), config.quadrature_step, config.quadrature_rel_tol
+        )
 
         # quantities in name order, each by ascending index: the export order
         rows: list[Row] = []
         if "doa_spectrum" in config.outputs:
             spectrum = attenuation_spectrum_from_snapshots(
-                r_empty, r_occupied, scene.array.spacing, scene.wavelength, config.n_fft
+                obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, config.n_fft
             )
             stem = f"doa_spectrum_{tag}"
             gammas = np.degrees(spectrum.gamma_grid).tolist()
@@ -385,12 +373,12 @@ def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]
                 rows.append(Row(x, y, gamma, "doa_excess_attenuation_db", value, stem))
         if "per_antenna_attenuation" in config.outputs:
             stem = f"per_antenna_{tag}"
-            values = excess_attenuation_db(ratios).tolist()
+            values = excess_attenuation_db(obs.ratios).tolist()
             for m, value in zip(scene.array.indices.tolist(), values):
                 rows.append(Row(x, y, m, "excess_attenuation_antenna_db", value, stem))
         if "mean_attenuation" in config.outputs:
             value = mean_attenuation_from_snapshots(
-                uniform_weights(scene.array.half_count), r_empty, r_occupied
+                uniform_weights(scene.array.half_count), obs.empty, obs.occupied
             )
             rows.append(Row(x, y, None, "mean_excess_attenuation_db", value, "mean_attenuation"))
         return rows
@@ -406,11 +394,11 @@ def _array_factor_rows(config: ScenarioConfig, scene: Scene) -> list[Row]:
         tag = _spacing_tag(spacing, scene.wavelength)
         quantity = f"array_factor_db[da={tag}lam]"
         stem = f"array_factor_da{tag}lam"
-        for gamma_deg in gammas_deg:
-            a = planar_steering(config.half_count, spacing, scene.wavelength, math.radians(gamma_deg))
-            magnitude = abs(array_factor(w, a))
-            value = float("-inf") if magnitude == 0.0 else float(20.0 * np.log10(magnitude))
-            rows.append(Row(None, None, float(gamma_deg), quantity, value, stem))
+        a = planar_steering(config.half_count, spacing, scene.wavelength, np.radians(gammas_deg))
+        with np.errstate(divide="ignore"):  # a null gives -inf dB
+            values = 20.0 * np.log10(np.abs(array_factor(w, a)))
+        for gamma_deg, value in zip(gammas_deg.tolist(), values.tolist()):
+            rows.append(Row(None, None, gamma_deg, quantity, value, stem))
     return rows
 
 

@@ -2,19 +2,20 @@
 
 The reference field at the central antenna is normalized to 1: every
 quantity exposed here is a ratio in which the absolute transmit level
-cancels. Occupancy 0 denotes the empty scene, 1 a scene with the target
-present. Noise is optional and off by default.
+cancels. ``observe`` solves the sheet once per target and returns the
+empty and occupied snapshots every other quantity is derived from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .array_model import nearfield_steering
-from .em_model import field_ratio_vector
-from .geometry import QuadratureGrid, Scene, TargetSheet
+from .em_model import converged_field_ratio_vector, field_ratio_vector
+from .geometry import Scene, TargetSheet, discretize_sheet
 
 
 @dataclass(frozen=True)
@@ -49,39 +50,34 @@ def boresight_steering(scene: Scene) -> np.ndarray:
     )
 
 
-def snapshot(
-    scene: Scene,
-    target: TargetSheet | None = None,
-    occupancy: int = 0,
-    noise_std: float = 0.0,
-    seed: int | None = None,
-    grid: QuadratureGrid | None = None,
-) -> np.ndarray:
-    """Received-field vector for the empty (0) or occupied (1) scene.
+class Observation(NamedTuple):
+    """One solve of the sheet: field ratios and the two received vectors."""
 
-    With occupancy 1 the per-antenna field ratios multiply the broadside
-    steering elements. Noise, when enabled, is circularly-symmetric complex
-    Gaussian with per-component variance noise_std**2, drawn from ``seed``.
+    ratios: np.ndarray    # E/E_ref per antenna, m = -M .. +M
+    empty: np.ndarray     # broadside near-field response, the empty scene
+    occupied: np.ndarray  # empty * ratios, the scene with the target present
+
+
+def observe(
+    scene: Scene,
+    target: TargetSheet,
+    step: float | None = None,
+    rel_tol: float | None = None,
+) -> Observation:
+    """Solve the sheet integral once and form the empty and occupied snapshots.
+
+    Without ``rel_tol`` the sheet is discretized at ``step`` (default
+    lambda/10, never coarser); with it the step is halved from ``step``
+    until successive grids agree to ``rel_tol``. Noiseless.
     """
-    if occupancy not in (0, 1):
-        raise ValueError("occupancy must be 0 or 1")
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be non-negative")
-    a = boresight_steering(scene)
-    if occupancy == 1:
-        if target is None:
-            raise ValueError("occupancy 1 requires a target sheet")
-        r = a * field_ratio_vector(scene, target, grid)
-    else:
-        r = a.copy()
-    if noise_std > 0.0:
-        rng = np.random.default_rng(seed)
-        n = scene.array.num_elements
-        noise = (noise_std / np.sqrt(2.0)) * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if rel_tol is not None:
+        ratios, _ = converged_field_ratio_vector(
+            scene, target, rel_tol=rel_tol, initial_step=step
         )
-        r = r + noise
-    return r
+    else:
+        ratios = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+    empty = boresight_steering(scene)
+    return Observation(ratios, empty, empty * ratios)
 
 
 def field_autocorrelation(ratios: np.ndarray) -> np.ndarray:
@@ -92,23 +88,6 @@ def field_autocorrelation(ratios: np.ndarray) -> np.ndarray:
     """
     ratios = np.asarray(ratios, dtype=complex)
     return np.outer(ratios, ratios.conj())
-
-
-def mean_excess_attenuation(
-    weights: np.ndarray,
-    scene: Scene,
-    target: TargetSheet | None,
-    grid: QuadratureGrid | None = None,
-) -> float:
-    """Beamformed empty-over-occupied power ratio in dB, noise excluded.
-
-    Ratio of |w^H a|^2 to |w^H diag(a) E_r|^2 with a the broadside
-    steering vector; +inf when the beamformed occupied field vanishes.
-    """
-    a = boresight_steering(scene)
-    return mean_attenuation_from_snapshots(
-        weights, a, a * field_ratio_vector(scene, target, grid)
-    )
 
 
 def mean_attenuation_from_snapshots(
@@ -168,23 +147,6 @@ def attenuation_spectrum_from_snapshots(
 
     order = np.argsort(gamma)
     return DoaSpectrum(gamma_grid=gamma[order], excess_attenuation_db=attenuation[order])
-
-
-def doa_attenuation_spectrum(
-    scene: Scene,
-    target: TargetSheet | None,
-    n_fft: int = 257,
-    grid: QuadratureGrid | None = None,
-) -> DoaSpectrum:
-    """DoA excess-attenuation spectrum from noiseless snapshot pairs."""
-    r0 = snapshot(scene, occupancy=0)
-    if target is None:
-        r1 = r0
-    else:
-        r1 = snapshot(scene, target, occupancy=1, grid=grid)
-    return attenuation_spectrum_from_snapshots(
-        r0, r1, scene.array.spacing, scene.wavelength, n_fft
-    )
 
 
 def fresnel_first_zone_minor_axis(scene: Scene) -> float:

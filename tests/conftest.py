@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from arrayshadow import ArraySpec, Scene, TargetSheet, converged_field_ratio_vector
+from arrayshadow import (
+    ArraySpec,
+    Scene,
+    TargetSheet,
+    attenuation_spectrum_from_snapshots,
+    converged_field_ratio_vector,
+    observe,
+)
 
 CARRIER_HZ = 2.4868e9
 WAVELENGTH = 299_792_458.0 / CARRIER_HZ
@@ -23,6 +30,14 @@ def make_paper_scene(half_count: int = 2) -> Scene:
 def make_paper_target(x: float = 1.0, y: float = 0.0, rotation: float = 0.0) -> TargetSheet:
     """Person-sized absorbing sheet, 1.8 m tall and 0.55 m wide."""
     return TargetSheet(barycenter=(x, y), half_width=0.275, half_height=0.9, rotation=rotation)
+
+
+def observed_spectrum(scene: Scene, target: TargetSheet, n_fft: int = 257):
+    """DoA spectrum of one ``observe`` solve at the default step."""
+    obs = observe(scene, target)
+    return attenuation_spectrum_from_snapshots(
+        obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, n_fft
+    )
 
 
 @pytest.fixture

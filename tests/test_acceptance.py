@@ -15,22 +15,22 @@ import pytest
 from arrayshadow import (
     array_factor,
     array_factor_closed_form,
-    discretize_sheet,
-    doa_attenuation_spectrum,
+    attenuation_spectrum_from_snapshots,
     excess_attenuation_db,
     field_autocorrelation,
     field_ratio_vector,
     free_space_ratio_vector,
     fresnel_first_zone_minor_axis,
-    mean_excess_attenuation,
+    mean_attenuation_from_snapshots,
     nearfield_steering,
+    observe,
     planar_steering,
     uniform_weights,
 )
 from arrayshadow.oracles import knife_edge_attenuation, knife_edge_parameter
 from arrayshadow.presets import load_preset
 from arrayshadow.runner import export, run
-from conftest import WAVELENGTH, make_paper_scene, make_paper_target
+from conftest import WAVELENGTH, make_paper_scene, make_paper_target, observed_spectrum
 
 from test_em_model import edge_sheet
 
@@ -40,29 +40,32 @@ def report(tag: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def spectrum_and_mean(scene, obs):
+    """DoA spectrum and beamformed mean attenuation of one observation."""
+    spectrum = attenuation_spectrum_from_snapshots(
+        obs.empty, obs.occupied, scene.array.spacing, scene.wavelength
+    )
+    weights = uniform_weights(scene.array.half_count)
+    return spectrum, mean_attenuation_from_snapshots(weights, obs.empty, obs.occupied)
+
+
 @pytest.fixture(scope="module")
 def desk():
-    """Desk-scale scenario evaluated once: spectra and mean attenuations."""
+    """Desk-scale scenario observed once per offset: ratios, spectra, means."""
     scene = make_paper_scene()
-    weights = uniform_weights(2)
     offsets = (-1.0, -0.25, -0.05, 0.0, 0.05, 0.25, 1.0)
+    observations = {y: observe(scene, make_paper_target(1.0, y)) for y in offsets}
     spectra = {}
     means = {}
-    for y in offsets:
-        target = make_paper_target(1.0, y)
-        grid = discretize_sheet(target, scene)
-        spectra[y] = doa_attenuation_spectrum(scene, target, grid=grid)
-        means[y] = mean_excess_attenuation(weights, scene, target, grid=grid)
-    return scene, spectra, means
+    for y, obs in observations.items():
+        spectra[y], means[y] = spectrum_and_mean(scene, obs)
+    return scene, observations, spectra, means
 
 
 def test_criterion_01_on_los_peak_and_runtime(desk):
-    scene, spectra, means = desk
+    scene, _, _, _ = desk
     start = time.monotonic()
-    target = make_paper_target(1.0, 0.0)
-    grid = discretize_sheet(target, scene)
-    spectrum = doa_attenuation_spectrum(scene, target, grid=grid)
-    mean = mean_excess_attenuation(uniform_weights(2), scene, target, grid=grid)
+    spectrum, mean = spectrum_and_mean(scene, observe(scene, make_paper_target(1.0, 0.0)))
     elapsed = time.monotonic() - start
     peak = spectrum.main_lobe_attenuation()
     ok = abs(peak - 15.0) <= 2.0 and abs(mean - 15.0) <= 2.0 and elapsed < 10.0
@@ -75,7 +78,7 @@ def test_criterion_01_on_los_peak_and_runtime(desk):
 
 
 def test_criterion_02_off_los_peaks_and_separability(desk):
-    _, spectra, _ = desk
+    _, _, spectra, _ = desk
     peaks = {y: spectra[y].main_lobe_attenuation() for y in (-0.25, 0.25)}
     bands_ok = all(abs(p - 7.0) <= 2.0 for p in peaks.values())
     trio = [spectra[y].excess_attenuation_db for y in (-0.25, 0.0, 0.25)]
@@ -94,9 +97,8 @@ def test_criterion_02_off_los_peaks_and_separability(desk):
 
 
 def test_criterion_03_per_antenna_spread(desk):
-    scene, _, _ = desk
-    target = make_paper_target(1.0, 0.0)
-    attens = excess_attenuation_db(field_ratio_vector(scene, target))
+    _, observations, _, _ = desk
+    attens = excess_attenuation_db(observations[0.0].ratios)
     spread = float(np.ptp(attens))
     ok = np.all(attens >= 13.0) and np.all(attens <= 17.0) and spread <= 2.5
     assert report(
@@ -107,7 +109,7 @@ def test_criterion_03_per_antenna_spread(desk):
 
 
 def test_criterion_04_close_spacing(desk):
-    _, spectra, _ = desk
+    _, _, spectra, _ = desk
     peaks = {y: spectra[y].main_lobe_attenuation() for y in (-0.05, 0.0, 0.05)}
     argmax_bins = {
         y: int(np.argmax(spectra[y].excess_attenuation_db)) for y in (-0.05, 0.0, 0.05)
@@ -124,7 +126,7 @@ def test_criterion_04_close_spacing(desk):
 
 
 def test_criterion_05_outside_fresnel_zone(desk):
-    _, spectra, _ = desk
+    _, _, spectra, _ = desk
     values = {y: spectra[y].main_lobe_attenuation() for y in (-1.0, 1.0)}
     ok = all(abs(v) < 1.0 for v in values.values())
     assert report(
@@ -200,17 +202,17 @@ def test_criterion_08_array_factor():
 
 
 def test_criterion_09_knife_edge_oracle():
-    scene = make_paper_scene()
+    scene = make_paper_scene(half_count=0)
     nus = np.arange(-2.0, 2.001, 0.25)
     worst = 0.0
     at_zero = None
     for nu in nus:
         edge_y = nu / knife_edge_parameter(1.0, 2.0, 2.0, WAVELENGTH)
         attens = excess_attenuation_db(field_ratio_vector(scene, edge_sheet(edge_y)))
-        err = abs(attens[2] - knife_edge_attenuation(float(nu)))
+        err = abs(attens[0] - knife_edge_attenuation(float(nu)))
         worst = max(worst, err)
         if nu == 0.0:
-            at_zero = attens[2]
+            at_zero = attens[0]
     ok = worst <= 0.3 and abs(at_zero - 6.02) <= 0.1
     assert report(
         "criterion 09",
@@ -227,7 +229,7 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
     rank_ok = True
     for _ in range(50):
         target = make_paper_target(rng.uniform(0.3, 3.7), rng.uniform(-1.2, 1.2))
-        R = field_autocorrelation(field_ratio_vector(scene, target))
+        R = field_autocorrelation(observe(scene, target).ratios)
         hermitian = np.max(np.abs(R - R.conj().T)) < 1e-14
         singular = np.linalg.svd(R, compute_uv=False)
         rank_one = singular[1] < 1e-10 * singular[0]
@@ -236,12 +238,12 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
 
     target = make_paper_target(1.0, 0.0)
     converged, step = converged_on_los
-    coarse = field_ratio_vector(scene, target, discretize_sheet(target, scene, step * 2))
+    coarse = observe(scene, target, step * 2).ratios
     halving_change = float(np.max(np.abs(converged - coarse) / np.abs(converged)))
     quad_ok = halving_change < 1e-4
 
-    plus = doa_attenuation_spectrum(scene, make_paper_target(1.0, 0.4))
-    minus = doa_attenuation_spectrum(scene, make_paper_target(1.0, -0.4))
+    plus = observed_spectrum(scene, make_paper_target(1.0, 0.4))
+    minus = observed_spectrum(scene, make_paper_target(1.0, -0.4))
     mirror_err = float(np.max(np.abs(
         plus.excess_attenuation_db - minus.excess_attenuation_db[::-1]
     )))

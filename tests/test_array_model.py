@@ -39,9 +39,17 @@ class TestPlanarSteering:
             assert abs(np.vdot(a, a).real - (2 * m + 1)) < 1e-12
 
     def test_rejects_doa_outside_open_interval(self):
-        for bad in (0.0, np.pi, -0.5, 4.0):
+        for bad in (0.0, np.pi, -0.5, 4.0, np.nan, np.array([1.0, 0.0])):
             with pytest.raises(ValueError):
                 planar_steering(2, LAM / 2, LAM, bad)
+
+    def test_doa_array_rows_equal_scalar_calls(self):
+        doas = np.radians(np.linspace(0.0, 180.0, 721)[1:-1])
+        for m in (0, 2, 4):
+            rows = planar_steering(m, 0.3 * LAM, LAM, doas)
+            assert rows.shape == (doas.size, 2 * m + 1)
+            scalar = np.array([planar_steering(m, 0.3 * LAM, LAM, d) for d in doas])
+            assert np.array_equal(rows, scalar)
 
 
 class TestNearfieldSteering:
@@ -105,6 +113,15 @@ class TestWeightsAndArrayFactor:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             array_factor(uniform_weights(2), planar_steering(3, LAM / 2, LAM, 1.0))
+
+    def test_steering_rows_give_one_response_each(self):
+        # a matrix product may sum in another order than the per-row dot product
+        doas = np.radians(np.linspace(0.0, 180.0, 721)[1:-1])
+        w = uniform_weights(4)
+        rows = array_factor(w, planar_steering(4, LAM / 2, LAM, doas))
+        scalar = [array_factor(w, planar_steering(4, LAM / 2, LAM, d)) for d in doas]
+        assert rows.shape == doas.shape
+        assert_allclose(rows, scalar, rtol=0, atol=1e-14)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(11)

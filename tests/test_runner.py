@@ -1,9 +1,19 @@
+import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from arrayshadow import geometry
+from arrayshadow import (
+    attenuation_spectrum_from_snapshots,
+    excess_attenuation_db,
+    geometry,
+    mean_attenuation_from_snapshots,
+    observe,
+    uniform_weights,
+)
 from arrayshadow.cli import main as cli_main
 from arrayshadow.presets import PRESET_NAMES, load_preset, preset_text
 from arrayshadow.runner import (
@@ -284,6 +294,22 @@ class TestRun:
         assert cli_main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_rows_are_derived_from_one_observation(self):
+        cfg = load_preset("paper_fig4")
+        scene = cfg.scene()
+        expected = []
+        for x, y in sorted(cfg.positions):
+            obs = observe(scene, cfg.target_at(x, y), cfg.quadrature_step)
+            spectrum = attenuation_spectrum_from_snapshots(
+                obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, cfg.n_fft
+            )
+            expected += spectrum.excess_attenuation_db.tolist()
+            expected += excess_attenuation_db(obs.ratios).tolist()
+            expected.append(mean_attenuation_from_snapshots(
+                uniform_weights(cfg.half_count), obs.empty, obs.occupied
+            ))
+        assert [r.value for r in run(cfg).rows] == expected
+
     def test_jobs_do_not_change_rows(self):
         cfg = load_preset("paper_fig6")
         assert run(cfg, jobs=3).rows == run(cfg, jobs=1).rows
@@ -315,6 +341,19 @@ class TestExport:
             assert [p.name for p in a] == [p.name for p in b]
             for pa, pb in zip(a, b):
                 assert pa.read_bytes() == pb.read_bytes()
+
+    def test_preset_exports_match_pinned_digests(self, tmp_path):
+        # lines "<preset> <format> <file> <sha256>"; replace the file when bytes move on purpose
+        pinned = (Path(__file__).parent / "export_digests.txt").read_text().splitlines()
+        got = []
+        for preset in ("paper_fig3", "paper_fig4", "paper_fig5", "paper_fig6"):
+            table = run(load_preset(preset))
+            for fmt in ("csv", "jsonl", "gnuplot"):
+                for path in export(table, fmt, tmp_path / preset / fmt):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    got.append(f"{preset} {fmt} {path.name} {digest}")
+        changed = sorted(set(got) ^ set(pinned))
+        assert got == pinned, "differing lines:\n" + "\n".join(changed)
 
     def test_csv_spectrum_header(self, tmp_path):
         paths = export(run(load_preset("paper_fig4")), "csv", tmp_path)
@@ -411,6 +450,26 @@ class TestCli:
         assert lines[0] == "nu,knife_edge_attenuation_db"
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == pytest.approx(6.0206, abs=1e-3)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--step", "0"], "--step"),
+        (["--step", "-0.1"], "--step"),
+        (["--step", "nan"], "--step"),
+        (["--step", "1e-300"], "points"),
+        (["--nu-max", "inf"], "--nu-max"),
+        (["--nu-min", "nan"], "--nu-min"),
+        (["--nu-min=-1e308", "--nu-max=1e308"], "points"),
+        (["--nu-min", "0", "--nu-max", "100000.1", "--step", "0.1"], "points"),
+    ])
+    def test_oracle_rejects_unprintable_ranges(self, capsys, monkeypatch, flags, named):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("arange called on a rejected range")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["oracle", "knife-edge", *flags])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_preset_text_round_trip(self):
         parsed = json.loads(preset_text("paper_fig5"))

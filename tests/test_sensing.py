@@ -1,65 +1,66 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from arrayshadow import (
     ArraySpec,
     Scene,
     attenuation_spectrum_from_snapshots,
+    boresight_steering,
     discretize_sheet,
-    doa_attenuation_spectrum,
     excess_attenuation_db,
     field_autocorrelation,
     field_ratio,
     field_ratio_vector,
     free_space_ratio_vector,
     fresnel_first_zone_minor_axis,
-    mean_excess_attenuation,
-    snapshot,
+    mean_attenuation_from_snapshots,
+    observe,
     uniform_weights,
 )
 from arrayshadow.oracles import naive_dft
-from conftest import WAVELENGTH, make_paper_scene, make_paper_target
+from conftest import WAVELENGTH, make_paper_scene, make_paper_target, observed_spectrum
 
 
 class TestSnapshot:
+    """The empty and occupied snapshots ``observe`` forms from one solve."""
+
     def test_empty_noiseless_equals_boresight_response(self, paper_scene):
-        r = snapshot(paper_scene)
-        assert isinstance(r, np.ndarray)
-        assert_allclose(r, free_space_ratio_vector(paper_scene), rtol=1e-9)
+        obs = observe(paper_scene, make_paper_target())
+        assert isinstance(obs.empty, np.ndarray)
+        assert_allclose(obs.empty, free_space_ratio_vector(paper_scene), rtol=1e-9)
 
     def test_occupied_central_component_is_field_ratio(self, paper_scene):
         target = make_paper_target()
-        grid = discretize_sheet(target, paper_scene)
-        r = snapshot(paper_scene, target, occupancy=1, grid=grid)
-        assert r[2] == pytest.approx(field_ratio(paper_scene, target, 0, grid), rel=1e-9)
-        assert 13.0 <= -20 * np.log10(abs(r[2])) <= 17.0
+        obs = observe(paper_scene, target)
+        assert obs.occupied[2] == pytest.approx(field_ratio(paper_scene, target, 0), rel=1e-9)
+        assert 13.0 <= -20 * np.log10(abs(obs.occupied[2])) <= 17.0
 
-    def test_same_seed_reproduces_noise(self, paper_scene):
-        a = snapshot(paper_scene, noise_std=0.1, seed=42)
-        b = snapshot(paper_scene, noise_std=0.1, seed=42)
-        assert_allclose(a, b, rtol=0, atol=0)
-        c = snapshot(paper_scene, noise_std=0.1, seed=43)
-        assert np.any(c != a)
+    def test_fixed_step_and_converged_quadrature(self, paper_scene):
+        target = make_paper_target(1.0, 0.4)
+        step = WAVELENGTH / 20
+        fixed = observe(paper_scene, target, step)
+        grid = discretize_sheet(target, paper_scene, step)
+        assert np.array_equal(fixed.ratios, field_ratio_vector(paper_scene, target, grid))
+        assert np.array_equal(fixed.occupied, fixed.empty * fixed.ratios)
+        converged = observe(paper_scene, target, step, rel_tol=1e-2)
+        assert not np.array_equal(converged.ratios, fixed.ratios)
+        assert_allclose(converged.ratios, fixed.ratios, rtol=1e-2)
 
-    def test_occupancy_requires_target(self, paper_scene):
-        with pytest.raises(ValueError, match="target"):
-            snapshot(paper_scene, occupancy=1)
-
-    def test_invalid_occupancy(self, paper_scene):
-        with pytest.raises(ValueError):
-            snapshot(paper_scene, occupancy=2)
-
-    def test_noise_variance_matches_request(self, paper_scene):
-        sigma = 0.3
-        clean = snapshot(paper_scene)
-        samples = []
-        for seed in range(20_000):  # 1e5 complex components in total
-            samples.append(snapshot(paper_scene, noise_std=sigma, seed=seed) - clean)
-        noise = np.concatenate(samples)
-        variance = np.mean(np.abs(noise) ** 2)
-        assert variance == pytest.approx(sigma**2, rel=0.05)
-        assert abs(np.mean(noise)) < 0.01
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        x=st.floats(0.3, 3.7),
+        y=st.floats(-1.2, 1.2),
+        theta=st.floats(-0.6, 0.6),
+        half_count=st.integers(0, 4),
+    )
+    def test_mirrored_target_reverses_antenna_order(self, x, y, theta, half_count):
+        scene = make_paper_scene(half_count)
+        plus = observe(scene, make_paper_target(x, y, theta))
+        minus = observe(scene, make_paper_target(x, -y, -theta))
+        assert_allclose(minus.ratios, plus.ratios[::-1], rtol=1e-9)
 
 
 class TestFieldAutocorrelation:
@@ -94,48 +95,48 @@ class TestFieldAutocorrelation:
 
 class TestMeanExcessAttenuation:
     def test_no_target_is_zero(self, paper_scene):
+        r0 = boresight_steering(paper_scene)
         w = uniform_weights(2)
-        assert mean_excess_attenuation(w, paper_scene, None) == pytest.approx(0.0, abs=1e-12)
+        assert mean_attenuation_from_snapshots(w, r0, r0) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_antenna_reduces_to_per_antenna_value(self):
         scene = Scene(2.4868e9, ArraySpec(0, WAVELENGTH / 2, 4.0), link_height=0.9)
         target = make_paper_target()
-        got = mean_excess_attenuation(uniform_weights(0), scene, target)
+        got = mean_attenuation_from_snapshots(uniform_weights(0), *observe(scene, target)[1:])
         expected = excess_attenuation_db(field_ratio(scene, target, 0))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_on_los_desk_value(self, paper_scene):
-        att = mean_excess_attenuation(uniform_weights(2), paper_scene, make_paper_target())
+        obs = observe(paper_scene, make_paper_target())
+        att = mean_attenuation_from_snapshots(uniform_weights(2), obs.empty, obs.occupied)
         assert att == pytest.approx(15.0, abs=2.0)
 
     def test_matches_noiseless_beamformed_power_ratio(self, paper_scene):
         target = make_paper_target(1.0, 0.25)
-        grid = discretize_sheet(target, paper_scene)
         w = uniform_weights(2)
-        r0 = snapshot(paper_scene)
-        r1 = snapshot(paper_scene, target, occupancy=1, grid=grid)
+        r0 = boresight_steering(paper_scene)
+        r1 = r0 * field_ratio_vector(paper_scene, target)
         bridged = 10 * np.log10(abs(np.vdot(w, r0)) ** 2 / abs(np.vdot(w, r1)) ** 2)
-        direct = mean_excess_attenuation(w, paper_scene, target, grid)
+        obs = observe(paper_scene, target)
+        direct = mean_attenuation_from_snapshots(w, obs.empty, obs.occupied)
         assert abs(direct - bridged) < 1e-10
 
 
 class TestDoaSpectrum:
     def test_no_target_flat_zero(self, paper_scene):
-        spectrum = doa_attenuation_spectrum(paper_scene, None)
+        r0 = boresight_steering(paper_scene)
+        spectrum = attenuation_spectrum_from_snapshots(r0, r0, WAVELENGTH / 2, WAVELENGTH)
         assert_allclose(spectrum.excess_attenuation_db, 0.0, atol=1e-10)
 
     def test_grid_monotone_inside_open_interval(self, paper_scene):
-        spectrum = doa_attenuation_spectrum(paper_scene, make_paper_target())
+        spectrum = observed_spectrum(paper_scene, make_paper_target())
         g = spectrum.gamma_grid
         assert np.all(np.diff(g) > 0)
         assert g[0] > 0.0 and g[-1] < np.pi
         assert g.size == spectrum.excess_attenuation_db.size
 
     def test_scale_invariance(self, paper_scene):
-        target = make_paper_target()
-        grid = discretize_sheet(target, paper_scene)
-        r0 = snapshot(paper_scene)
-        r1 = snapshot(paper_scene, target, occupancy=1, grid=grid)
+        _, r0, r1 = observe(paper_scene, make_paper_target())
         base = attenuation_spectrum_from_snapshots(r0, r1, WAVELENGTH / 2, WAVELENGTH)
         c = 2.7 - 1.3j
         scaled = attenuation_spectrum_from_snapshots(c * r0, c * r1, WAVELENGTH / 2, WAVELENGTH)
@@ -157,21 +158,21 @@ class TestDoaSpectrum:
             assert_allclose(got.excess_attenuation_db, expected, atol=1e-10)
 
     def test_mirror_symmetry_about_broadside(self, paper_scene):
-        plus = doa_attenuation_spectrum(paper_scene, make_paper_target(1.0, 0.25))
-        minus = doa_attenuation_spectrum(paper_scene, make_paper_target(1.0, -0.25))
+        plus = observed_spectrum(paper_scene, make_paper_target(1.0, 0.25))
+        minus = observed_spectrum(paper_scene, make_paper_target(1.0, -0.25))
         assert_allclose(plus.gamma_grid, np.pi - minus.gamma_grid[::-1], atol=1e-12)
         assert_allclose(
             plus.excess_attenuation_db, minus.excess_attenuation_db[::-1], atol=1e-6
         )
 
     def test_main_lobe_reading_near_reported_value(self, paper_scene):
-        spectrum = doa_attenuation_spectrum(paper_scene, make_paper_target())
+        spectrum = observed_spectrum(paper_scene, make_paper_target())
         assert spectrum.main_lobe_attenuation() == pytest.approx(15.0, abs=2.0)
         assert spectrum.attenuation_at(np.pi / 2) == spectrum.main_lobe_attenuation()
 
     def test_n_fft_too_small(self, paper_scene):
         with pytest.raises(ValueError, match="n_fft"):
-            doa_attenuation_spectrum(paper_scene, make_paper_target(), n_fft=3)
+            observed_spectrum(paper_scene, make_paper_target(), n_fft=3)
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError, match="odd"):
