@@ -18,10 +18,7 @@ from .array_model import (
 from .em_model import (
     converged_field_ratio_vector,
     excess_attenuation_db,
-    field_ratio,
     field_ratio_vector,
-    free_space_ratio,
-    free_space_ratio_vector,
 )
 from .geometry import (
     SPEED_OF_LIGHT,
@@ -37,8 +34,6 @@ from .sensing import (
     Observation,
     attenuation_spectrum_from_snapshots,
     boresight_steering,
-    field_autocorrelation,
-    fresnel_first_zone_minor_axis,
     mean_attenuation_from_snapshots,
     observe,
 )
@@ -59,13 +54,8 @@ __all__ = [
     "converged_field_ratio_vector",
     "discretize_sheet",
     "excess_attenuation_db",
-    "field_autocorrelation",
-    "field_ratio",
     "field_ratio_vector",
     "first_lobe_width",
-    "free_space_ratio",
-    "free_space_ratio_vector",
-    "fresnel_first_zone_minor_axis",
     "mean_attenuation_from_snapshots",
     "nearfield_steering",
     "observe",

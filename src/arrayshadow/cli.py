@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .oracles import knife_edge_attenuation
 from .presets import PRESET_NAMES, load_preset
 from .runner import (
     ScenarioError,
@@ -78,6 +77,8 @@ def _check_oracle_args(parser: argparse.ArgumentParser, args) -> None:
     for flag, value in (("--nu-min", args.nu_min), ("--nu-max", args.nu_max)):
         if not math.isfinite(value):
             parser.error(f"{flag} must be finite, got {value}")
+    if args.nu_max < args.nu_min:
+        parser.error(f"--nu-max {args.nu_max} is below --nu-min {args.nu_min}")
     points = (args.nu_max + args.step / 2.0 - args.nu_min) / args.step  # may overflow to inf
     if points > _MAX_ORACLE_POINTS:
         parser.error(f"--nu-min, --nu-max and --step give more than {_MAX_ORACLE_POINTS:,} points")
@@ -104,6 +105,8 @@ def main(argv=None) -> int:
                 print(name)
             return 0
         if args.command == "oracle":
+            from .oracles import knife_edge_attenuation  # loads scipy
+
             nus = np.arange(args.nu_min, args.nu_max + args.step / 2.0, args.step)
             print("nu,knife_edge_attenuation_db")
             for nu in nus:

@@ -8,7 +8,8 @@ The perturbed-over-reference field ratio at antenna m is
 with r1, r2 the cell distances to the transmitter and to antenna m. The
 sheet absorbs everything that hits it and re-radiates nothing. All sums
 run at double precision; node contributions are accumulated with numpy's
-pairwise summation.
+pairwise summation. Every solver takes a sheet: an empty scene needs no
+solve, its ratio is exactly 1 at every antenna.
 """
 
 from __future__ import annotations
@@ -29,74 +30,19 @@ _MIN_CLEARANCE = 1e-9  # m; below this a grid node sits on an antenna
 _BLOCK_NODES = 4096
 
 
-def _check_index(scene: Scene, antenna_index: int) -> None:
-    if abs(antenna_index) > scene.array.half_count:
-        raise ValueError(
-            f"antenna index {antenna_index} outside -M..M for M={scene.array.half_count}"
-        )
-
-
-def free_space_ratio(scene: Scene, antenna_index: int) -> complex:
-    """Reference-field ratio of antenna m relative to the central antenna.
-
-    Returns (d_0/d_m) * exp(-j 2 pi (d_m - d_0) / lambda); exactly 1 for m = 0.
-    """
-    _check_index(scene, antenna_index)
-    return complex(free_space_ratio_vector(scene)[antenna_index + scene.array.half_count])
-
-
-def free_space_ratio_vector(scene: Scene) -> np.ndarray:
-    """free_space_ratio for every antenna, ordered m = -M .. +M."""
-    d0 = scene.array.central_distance
-    dm = np.hypot(d0, scene.array.indices * scene.array.spacing)
-    k = 2.0 * np.pi / scene.wavelength
-    return (d0 / dm) * np.exp(-1j * k * (dm - d0))
-
-
-def field_ratio(
-    scene: Scene,
-    target: TargetSheet | None,
-    antenna_index: int,
-    grid: QuadratureGrid | None = None,
-) -> complex:
-    """Perturbed-over-reference field ratio E/E_ref at one antenna.
-
-    Parameters
-    ----------
-    scene : Scene
-        Link layout.
-    target : TargetSheet or None
-        Absorbing sheet; None means an empty scene and yields exactly 1.
-    antenna_index : int
-        Signed element index m.
-    grid : QuadratureGrid, optional
-        Discretization of the sheet; built at the default step when omitted.
-
-    Returns
-    -------
-    complex
-        Dimensionless field ratio.
-    """
-    _check_index(scene, antenna_index)
-    ratios = field_ratio_vector(scene, target, grid)
-    return complex(ratios[antenna_index + scene.array.half_count])
-
-
 def field_ratio_vector(
     scene: Scene,
-    target: TargetSheet | None,
+    target: TargetSheet,
     grid: QuadratureGrid | None = None,
 ) -> np.ndarray:
-    """Field ratios for all antennas, reusing one grid across the array.
+    """Field ratios E/E_ref of ``target`` at every antenna, ordered m = -M .. +M.
 
-    The sheet discretization and the transmitter-side distances do not
-    depend on the antenna, so they are computed once. Each antenna's node
-    contributions are computed block by block into one array and summed
-    whole, so the result does not depend on the block size.
+    The grid defaults to ``discretize_sheet`` at lambda/10. The sheet
+    discretization and the transmitter-side distances do not depend on the
+    antenna, so they are computed once. Each antenna's node contributions
+    are computed block by block into one array and summed whole, so the
+    result does not depend on the block size.
     """
-    n = scene.array.num_elements
-    if target is None:
-        return np.ones(n, dtype=complex)
     if grid is None:
         grid = discretize_sheet(target, scene)
 
@@ -111,9 +57,9 @@ def field_ratio_vector(
     rx_all = antenna_positions(scene)
     dm_all = np.linalg.norm(rx_all - scene.tx, axis=1)
 
-    out = np.empty(n, dtype=complex)
+    out = np.empty(len(rx_all), dtype=complex)
     contributions = np.empty(len(areas), dtype=complex)
-    for i in range(n):
+    for i in range(len(rx_all)):
         for b in blocks:
             r2 = np.linalg.norm(points[b] - rx_all[i], axis=1)
             if r2.min() < _MIN_CLEARANCE:
@@ -135,7 +81,7 @@ def excess_attenuation_db(ratio) -> float | np.ndarray:
 
 def converged_field_ratio_vector(
     scene: Scene,
-    target: TargetSheet | None,
+    target: TargetSheet,
     rel_tol: float = 1e-4,
     initial_step: float | None = None,
 ) -> tuple[np.ndarray, float]:
@@ -148,8 +94,6 @@ def converged_field_ratio_vector(
     When the next grid would exceed ``geometry.MAX_GRID_NODES``, raises
     ValueError giving the change reached.
     """
-    if target is None:
-        return np.ones(scene.array.num_elements, dtype=complex), 0.0
     step = scene.wavelength / 10.0
     if initial_step is not None:
         step = min(initial_step, step)

@@ -52,26 +52,15 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class Scene:
-    """Fixed link layout: carrier, transmitter position and receiving array."""
+    """Fixed link layout: carrier, link height and array; transmitter at (0, 0, h)."""
 
     carrier_frequency: float            # Hz
     array: ArraySpec
     link_height: float = 0.0            # h, m
-    tx_position: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         if self.carrier_frequency <= 0.0:
             raise ValueError("carrier_frequency must be positive")
-        if self.tx_position is None:
-            object.__setattr__(
-                self, "tx_position", (0.0, 0.0, float(self.link_height))
-            )
-        else:
-            object.__setattr__(self, "tx_position", tuple(float(v) for v in self.tx_position))
-            if len(self.tx_position) != 3:
-                raise ValueError("tx_position must be a 3-D point")
-            if self.tx_position[2] != self.link_height:
-                raise ValueError("transmitter must lie in the link plane at height h")
         if self.array.spacing <= self.wavelength / 4.0:
             warnings.warn(
                 f"antenna spacing {self.array.spacing:.4g} m is <= lambda/4 "
@@ -86,7 +75,7 @@ class Scene:
 
     @property
     def tx(self) -> np.ndarray:
-        return np.array(self.tx_position, dtype=float)
+        return np.array([0.0, 0.0, self.link_height])
 
 
 @dataclass(frozen=True)
@@ -118,10 +107,6 @@ class QuadratureGrid:
     points: np.ndarray  # shape (N, 3)
     areas: np.ndarray   # shape (N,), m^2
     step: float         # largest cell side, m
-
-    @property
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
 
 
 def antenna_positions(scene: Scene) -> np.ndarray:

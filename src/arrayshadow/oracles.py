@@ -2,7 +2,8 @@
 
 Nothing here shares quadrature or transform code with the modules under
 test: node coordinates, accumulation order and the transform loop are all
-written separately on purpose.
+written separately on purpose. ``free_space_ratio_vector`` is the closed
+form that the broadside (empty-scene) array response must equal.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def knife_edge_parameter(
     return edge_offset * math.sqrt(2.0 * (d1 + d2) / (wavelength * d1 * d2))
 
 
+def free_space_ratio_vector(scene: Scene) -> np.ndarray:
+    """Reference-field ratio of every antenna to the central one, m = -M .. +M.
+
+    Returns (d_0/d_m) * exp(-j 2 pi (d_m - d_0) / lambda); exactly 1 for m = 0.
+    """
+    d0 = scene.array.central_distance
+    dm = np.hypot(d0, scene.array.indices * scene.array.spacing)
+    k = 2.0 * np.pi / scene.wavelength
+    return (d0 / dm) * np.exp(-1j * k * (dm - d0))
+
+
 def dense_quadrature_field_ratio(
     scene: Scene,
     target: TargetSheet,
@@ -60,7 +72,7 @@ def dense_quadrature_field_ratio(
     if step is None:
         step = lam / 40.0
 
-    tx = np.array(scene.tx_position)
+    tx = scene.tx
     d0 = scene.array.central_distance
     da = scene.array.spacing
     rx = tx + np.array([d0, antenna_index * da, 0.0])

@@ -80,16 +80,6 @@ def observe(
     return Observation(ratios, empty, empty * ratios)
 
 
-def field_autocorrelation(ratios: np.ndarray) -> np.ndarray:
-    """Outer product R = E_r E_r^H of the per-antenna field ratios.
-
-    Hermitian and rank one by construction; diagonal entries are the
-    per-antenna power ratios |E/E_ref|^2.
-    """
-    ratios = np.asarray(ratios, dtype=complex)
-    return np.outer(ratios, ratios.conj())
-
-
 def mean_attenuation_from_snapshots(
     weights: np.ndarray, r_empty: np.ndarray, r_occupied: np.ndarray
 ) -> float:
@@ -147,8 +137,3 @@ def attenuation_spectrum_from_snapshots(
 
     order = np.argsort(gamma)
     return DoaSpectrum(gamma_grid=gamma[order], excess_attenuation_db=attenuation[order])
-
-
-def fresnel_first_zone_minor_axis(scene: Scene) -> float:
-    """Minor axis sqrt(lambda d_0) of the first Fresnel ellipsoid, m."""
-    return float(np.sqrt(scene.wavelength * scene.array.central_distance))

@@ -6,11 +6,11 @@ from arrayshadow import (
     array_factor,
     array_factor_closed_form,
     first_lobe_width,
-    free_space_ratio_vector,
     nearfield_steering,
     planar_steering,
     uniform_weights,
 )
+from arrayshadow.oracles import free_space_ratio_vector
 from conftest import WAVELENGTH
 
 LAM = WAVELENGTH

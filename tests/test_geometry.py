@@ -8,9 +8,8 @@ from arrayshadow import (
     TargetSheet,
     antenna_positions,
     discretize_sheet,
-    field_ratio_vector,
 )
-from conftest import WAVELENGTH, make_paper_scene, make_paper_target
+from conftest import WAVELENGTH, make_paper_target
 
 
 class TestAntennaPositions:
@@ -54,7 +53,7 @@ class TestDiscretizeSheet:
     def test_paper_grid_shape_and_area(self, paper_scene):
         grid = discretize_sheet(make_paper_target(), paper_scene, WAVELENGTH / 10)
         assert grid.points.shape[0] == 46 * 150
-        assert grid.total_area == pytest.approx(0.99, rel=1e-12)
+        assert grid.areas.sum() == pytest.approx(0.99, rel=1e-12)
 
     def test_area_sum_exact(self, paper_scene):
         rng = np.random.default_rng(7)
@@ -62,7 +61,7 @@ class TestDiscretizeSheet:
             ay, az = rng.uniform(0.05, 2.0, size=2)
             target = TargetSheet((1.5, 0.3), ay, az, rotation=rng.uniform(0, np.pi))
             grid = discretize_sheet(target, paper_scene)
-            assert grid.total_area == pytest.approx(4 * ay * az, rel=1e-12)
+            assert grid.areas.sum() == pytest.approx(4 * ay * az, rel=1e-12)
 
     def test_step_never_exceeds_cap(self, paper_scene):
         grid = discretize_sheet(make_paper_target(), paper_scene, step_hint=1.0)
@@ -90,18 +89,6 @@ class TestDiscretizeSheet:
 
 
 class TestFrameProperties:
-    def test_translation_invariance(self):
-        base = make_paper_scene()
-        shifted = Scene(
-            carrier_frequency=base.carrier_frequency,
-            array=base.array,
-            link_height=0.9,
-            tx_position=(5.0, -3.0, 0.9),
-        )
-        r0 = field_ratio_vector(base, make_paper_target(1.0, 0.25))
-        r1 = field_ratio_vector(shifted, make_paper_target(6.0, -2.75))
-        assert_allclose(r1, r0, rtol=1e-9)
-
     def test_mirror_maps_node_distances_to_opposite_antenna(self, paper_scene):
         pos = antenna_positions(paper_scene)
         tx = paper_scene.tx
@@ -138,10 +125,6 @@ class TestValidation:
             TargetSheet((1.0, 0.0), 0.0, 0.9)
         with pytest.raises(ValueError):
             TargetSheet((1.0, 0.0), 0.275, -0.1)
-
-    def test_rejects_tx_off_link_plane(self):
-        with pytest.raises(ValueError, match="link plane"):
-            Scene(2.4868e9, ArraySpec(2, 0.06, 4.0), link_height=0.9, tx_position=(0, 0, 0))
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):

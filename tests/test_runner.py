@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -460,6 +463,7 @@ class TestCli:
         (["--nu-min", "nan"], "--nu-min"),
         (["--nu-min=-1e308", "--nu-max=1e308"], "points"),
         (["--nu-min", "0", "--nu-max", "100000.1", "--step", "0.1"], "points"),
+        (["--nu-min", "5", "--nu-max", "0"], "--nu-max"),
     ])
     def test_oracle_rejects_unprintable_ranges(self, capsys, monkeypatch, flags, named):
         def no_arange(*args, **kwargs):
@@ -470,6 +474,22 @@ class TestCli:
             cli_main(["oracle", "knife-edge", *flags])
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
+
+    def test_oracle_equal_bounds_print_one_row(self, capsys):
+        assert cli_main(["oracle", "knife-edge", "--nu-min", "0", "--nu-max", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["0,6.02059991"]
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, arrayshadow.cli; "
+            "print(sorted({'scipy', 'arrayshadow.oracles'} & set(sys.modules)))"
+        )
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_preset_text_round_trip(self):
         parsed = json.loads(preset_text("paper_fig5"))
