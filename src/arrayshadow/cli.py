@@ -36,7 +36,8 @@ def _resolve_config(spec: str):
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The top-level parser and its ``oracle knife-edge`` subparser."""
     parser = argparse.ArgumentParser(
         prog="arrayshadow",
         description="Body-shadowing simulator for RF links with a ULA receiver",
@@ -64,31 +65,31 @@ def _build_parser() -> argparse.ArgumentParser:
     knife.add_argument("--nu-max", type=float, default=3.0)
     knife.add_argument("--step", type=float, default=0.1)
 
-    return parser
+    return parser, knife
 
 
 _MAX_ORACLE_POINTS = 1_000_000
 
 
-def _check_oracle_args(parser: argparse.ArgumentParser, args) -> None:
-    """Exit 2 through ``parser.error`` unless the knife-edge range is printable."""
+def _check_oracle_args(knife: argparse.ArgumentParser, args) -> None:
+    """Exit 2 through ``knife.error`` unless the knife-edge range is printable."""
     if not (math.isfinite(args.step) and args.step > 0.0):
-        parser.error(f"--step must be positive and finite, got {args.step}")
+        knife.error(f"--step must be positive and finite, got {args.step}")
     for flag, value in (("--nu-min", args.nu_min), ("--nu-max", args.nu_max)):
         if not math.isfinite(value):
-            parser.error(f"{flag} must be finite, got {value}")
+            knife.error(f"{flag} must be finite, got {value}")
     if args.nu_max < args.nu_min:
-        parser.error(f"--nu-max {args.nu_max} is below --nu-min {args.nu_min}")
+        knife.error(f"--nu-max {args.nu_max} is below --nu-min {args.nu_min}")
     points = (args.nu_max + args.step / 2.0 - args.nu_min) / args.step  # may overflow to inf
     if points > _MAX_ORACLE_POINTS:
-        parser.error(f"--nu-min, --nu-max and --step give more than {_MAX_ORACLE_POINTS:,} points")
+        knife.error(f"--nu-min, --nu-max and --step give more than {_MAX_ORACLE_POINTS:,} points")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, knife = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "oracle":
-        _check_oracle_args(parser, args)
+        _check_oracle_args(knife, args)
     try:
         if args.command == "simulate":
             config = with_seed(_resolve_config(args.config), args.seed)
@@ -105,7 +106,17 @@ def main(argv=None) -> int:
                 print(name)
             return 0
         if args.command == "oracle":
-            from .oracles import knife_edge_attenuation  # loads scipy
+            try:
+                from .oracles import knife_edge_attenuation  # loads scipy
+            except ModuleNotFoundError as e:
+                if (e.name or "").partition(".")[0] != "scipy":
+                    raise
+                print(
+                    "error: oracle knife-edge needs scipy; install the extra: "
+                    "pip install 'arrayshadow[oracle]'",
+                    file=sys.stderr,
+                )
+                return 2
 
             nus = np.arange(args.nu_min, args.nu_max + args.step / 2.0, args.step)
             print("nu,knife_edge_attenuation_db")

@@ -85,21 +85,23 @@ def converged_field_ratio_vector(
     rel_tol: float = 1e-4,
     initial_step: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Field ratios with step halving until the change drops below rel_tol.
+    """Field ratios by Richardson-extrapolated step halving to rel_tol.
 
     Starts from ``min(initial_step, lambda/10)`` (default lambda/10), the
-    step ``discretize_sheet`` actually uses, and halves the grid step until
-    the worst per-antenna relative change between successive grids is below
-    ``rel_tol``. Returns the converged vector and the step that produced it.
-    When the next grid would exceed ``geometry.MAX_GRID_NODES``, raises
+    step ``discretize_sheet`` actually uses, and halves the grid step. After
+    each halving it forms ``R = (4 I(h) - I(2h)) / 3`` from the midpoint sums
+    at the new step h and the previous one, which cancels the rule's O(h^2)
+    error term, and stops once the worst per-antenna relative change between
+    two successive estimates is below ``rel_tol``. Returns that estimate and
+    h. When the next grid would exceed ``geometry.MAX_GRID_NODES``, raises
     ValueError giving the change reached.
     """
     step = scene.wavelength / 10.0
     if initial_step is not None:
         step = min(initial_step, step)
-    grid = discretize_sheet(target, scene, step)
-    current = field_ratio_vector(scene, target, grid)
-    change = np.inf  # no refinement compared yet
+    previous = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+    estimate = None
+    change = np.inf  # no two estimates compared yet
     while True:
         step /= 2.0
         try:
@@ -110,7 +112,11 @@ def converged_field_ratio_vector(
                 f"rel_tol {rel_tol:g}: {e}"
             ) from e
         refined = field_ratio_vector(scene, target, grid)
-        change = np.max(np.abs(refined - current) / np.maximum(np.abs(refined), 1e-300))
-        current = refined
-        if change < rel_tol:
-            return current, step
+        extrapolated = (4.0 * refined - previous) / 3.0
+        if estimate is not None:
+            change = np.max(
+                np.abs(extrapolated - estimate) / np.maximum(np.abs(extrapolated), 1e-300)
+            )
+            if change < rel_tol:
+                return extrapolated, step
+        previous, estimate = refined, extrapolated

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-# Largest quadrature grid built: it admits the 7M-node lambda/320 desk grid
-# (about 0.54 GB peak RSS) and refuses the 28M-node lambda/640 one.
+# Largest quadrature grid built, refused before allocation. The 1e-4 desk
+# solve stops at a 109k-node lambda/40 grid; the budget still admits the
+# 7M-node lambda/320 desk grid (about 0.54 GB peak RSS) that a tighter
+# tolerance or a fixed fine step may ask for, and refuses the 28M-node
+# lambda/640 one (about 3.4 GB).
 MAX_GRID_NODES = 10_000_000
 
 

@@ -68,7 +68,8 @@ def observe(
 
     Without ``rel_tol`` the sheet is discretized at ``step`` (default
     lambda/10, never coarser); with it the step is halved from ``step``
-    until successive grids agree to ``rel_tol``. Noiseless.
+    until successive Richardson estimates agree to ``rel_tol`` (see
+    ``converged_field_ratio_vector``). Noiseless.
     """
     if rel_tol is not None:
         ratios, _ = converged_field_ratio_vector(

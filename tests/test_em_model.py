@@ -148,12 +148,37 @@ class TestQuadratureConvergence:
         coarse, coarse_step = converged_field_ratio_vector(
             paper_scene, target, rel_tol=1e-4, initial_step=WAVELENGTH / 2
         )
-        assert step == pytest.approx(WAVELENGTH / 80, rel=1e-12)
+        assert step == pytest.approx(WAVELENGTH / 40, rel=1e-12)
         assert coarse_step == step
         assert_allclose(coarse, ratios, rtol=0, atol=0)
-        # the returned step reproduces the returned ratios
-        again = field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, step))
-        assert_allclose(again, ratios, rtol=1e-12)
+        # the returned step reproduces the returned Richardson estimate
+        fine, half = (
+            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, h))
+            for h in (step, 2.0 * step)
+        )
+        assert_allclose((4.0 * fine - half) / 3.0, ratios, rtol=1e-12)
+
+    def test_on_los_solve_stops_after_three_grids(self, paper_scene, monkeypatch):
+        nodes = []
+
+        def counting_discretize_sheet(*args):
+            grid = discretize_sheet(*args)
+            nodes.append(len(grid.areas))
+            return grid
+
+        monkeypatch.setattr(em_model, "discretize_sheet", counting_discretize_sheet)
+        _, step = converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
+        assert step == pytest.approx(WAVELENGTH / 40, rel=1e-12)
+        assert len(nodes) == 3 and sum(nodes) <= 150_000
+
+    def test_meets_tolerance_against_a_finer_estimate(self, paper_scene):
+        target = TargetSheet((1.0, 0.1), 0.1, 0.2)
+        ratios, _ = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4)
+        fine, half = (
+            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, h))
+            for h in (WAVELENGTH / 320, WAVELENGTH / 160)
+        )
+        assert_allclose(ratios, (4.0 * fine - half) / 3.0, rtol=1e-5)
 
     def test_agrees_with_dense_oracle_on_desk_geometries(self, paper_scene, converged_on_los):
         for y in (-0.25, 0.0, 0.25):

@@ -473,7 +473,9 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["oracle", "knife-edge", *flags])
         assert exit_info.value.code == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: arrayshadow oracle knife-edge [-h]")
+        assert named in err
 
     def test_oracle_equal_bounds_print_one_row(self, capsys):
         assert cli_main(["oracle", "knife-edge", "--nu-min", "0", "--nu-max", "0"]) == 0
@@ -490,6 +492,21 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+    def test_oracle_without_scipy_names_the_extra(self):
+        code = (
+            "import sys; sys.modules['scipy'] = None; from arrayshadow.cli import main; "
+            "sys.exit(main(['oracle', 'knife-edge']))"
+        )
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert "arrayshadow[oracle]" in done.stderr
 
     def test_preset_text_round_trip(self):
         parsed = json.loads(preset_text("paper_fig5"))
