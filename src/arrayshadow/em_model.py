@@ -94,14 +94,15 @@ def converged_field_ratio_vector(
     error term, and stops once the worst per-antenna relative change between
     two successive estimates is below ``rel_tol``. Returns that estimate and
     h. When the next grid would exceed ``geometry.MAX_GRID_NODES``, raises
-    ValueError giving the change reached.
+    ValueError giving the change reached: between the last two estimates, or
+    between the two midpoint sums when the second estimate's grid is refused.
     """
     step = scene.wavelength / 10.0
     if initial_step is not None:
         step = min(initial_step, step)
     previous = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
     estimate = None
-    change = np.inf  # no two estimates compared yet
+    change = np.inf  # one midpoint sum: nothing compared yet
     while True:
         step /= 2.0
         try:
@@ -113,10 +114,9 @@ def converged_field_ratio_vector(
             ) from e
         refined = field_ratio_vector(scene, target, grid)
         extrapolated = (4.0 * refined - previous) / 3.0
-        if estimate is not None:
-            change = np.max(
-                np.abs(extrapolated - estimate) / np.maximum(np.abs(extrapolated), 1e-300)
-            )
-            if change < rel_tol:
-                return extrapolated, step
+        # until two estimates exist, the change between the two midpoint sums
+        new, old = (refined, previous) if estimate is None else (extrapolated, estimate)
+        change = np.max(np.abs(new - old) / np.maximum(np.abs(new), 1e-300))
+        if estimate is not None and change < rel_tol:
+            return extrapolated, step
         previous, estimate = refined, extrapolated

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,22 +37,6 @@ from .sensing import (
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
 
 _FLOAT_FMT = ".9g"  # significant digits pinned for byte-stable exports
-
-# Every key a scenario section may hold; any other key is a ScenarioError.
-_KNOWN_KEYS = {
-    "": ("scene", "target", "processing", "outputs", "array_factor"),
-    "scene": (
-        "carrier_frequency_hz", "central_distance_m", "half_count",
-        "spacing_m", "spacing_wavelengths", "link_height_m",
-    ),
-    "target": ("half_width_m", "half_height_m", "rotation_deg", "positions_m"),
-    "processing": (
-        "n_fft", "quadrature_step_m", "quadrature_step_wavelengths",
-        "quadrature_rel_tol", "noise_std", "seed",
-    ),
-    "array_factor": ("spacings_wavelengths", "gamma_points"),
-}
-
 
 class ScenarioError(Exception):
     """Config file failed to parse or validate; message lists every problem."""
@@ -78,8 +62,6 @@ class ScenarioConfig:
     n_fft: int
     quadrature_step: float
     quadrature_rel_tol: float | None
-    noise_std: float
-    seed: int | None
     outputs: tuple[str, ...]
     array_factor_spacings: tuple[float, ...]
     array_factor_points: int
@@ -128,6 +110,42 @@ class ResultTable:
 
 _REQUIRED = object()
 
+# Every numeric key of the format, once: key -> (ScenarioConfig field,
+# default, integer, lower bound). The default is _REQUIRED, None (the key is
+# optional) or a value. A float bound is exclusive (all are 0: "positive"),
+# an integer bound inclusive; None sets no bound.
+_NUMBERS = {
+    "scene.carrier_frequency_hz": ("carrier_frequency", _REQUIRED, False, 0.0),
+    "scene.central_distance_m": ("central_distance", _REQUIRED, False, 0.0),
+    "scene.half_count": ("half_count", _REQUIRED, True, 0),
+    "scene.link_height_m": ("link_height", 0.0, False, None),
+    "target.half_width_m": ("target_half_width", None, False, 0.0),
+    "target.half_height_m": ("target_half_height", None, False, 0.0),
+    "target.rotation_deg": ("target_rotation", 0.0, False, None),  # radians once read
+    "processing.n_fft": ("n_fft", 257, True, None),  # >= the array size, checked below
+    "processing.quadrature_rel_tol": ("quadrature_rel_tol", None, False, 0.0),
+    "array_factor.gamma_points": ("array_factor_points", 721, True, 3),
+}
+# The format's other keys, each read by hand in parse_scenario.
+_OTHER_KEYS = (
+    "scene.spacing_m", "scene.spacing_wavelengths", "target.positions_m",
+    "processing.quadrature_step_m", "processing.quadrature_step_wavelengths",
+    "outputs", "array_factor.spacings_wavelengths",
+)
+
+
+def _keys_by_section() -> dict[str, set[str]]:
+    """The format's keys by section; "" holds the top-level keys."""
+    keys: dict[str, set[str]] = {"": set()}
+    for name in (*_NUMBERS, *_OTHER_KEYS):
+        section, _, key = name.rpartition(".")
+        keys[""].add(section or key)
+        keys.setdefault(section, set()).add(key)
+    return keys
+
+
+_KEYS = _keys_by_section()
+
 
 def _number(value, label: str, errors: list, default=_REQUIRED, integer: bool = False):
     """``value`` as a finite float, or as an int when ``integer``.
@@ -144,7 +162,8 @@ def _number(value, label: str, errors: list, default=_REQUIRED, integer: bool = 
             return value
         if not integer and abs(value) <= sys.float_info.max:
             return float(value)
-    errors.append(f"{label} must be {'an integer' if integer else 'a finite number'}")
+    kind = "an integer" if integer else "a finite number"
+    errors.append(f"{label} is required" if value is None else f"{label} must be {kind}")
     return math.nan
 
 
@@ -163,25 +182,14 @@ def _quoted(text: str) -> str:
     return f"'{text}'" if len(text) <= 40 else f"'{text[:40]}...'"
 
 
-def _check_keys(section: dict, name: str, errors: list) -> None:
-    """Record every key of ``section`` that ``_KNOWN_KEYS[name]`` does not list."""
-    for key in section:
-        if key not in _KNOWN_KEYS[name]:
-            errors.append(f"{name or 'top level'}: unknown key {_quoted(key)}")
-
-
 def _length(raw: dict, key: str, wavelength: float, errors: list, context: str) -> float | None:
-    """Resolve a '<key>_m' or '<key>_wavelengths' pair to meters."""
+    """Resolve a '<key>_m' or '<key>_wavelengths' pair to meters; None when neither is given."""
     meters = _number(raw.get(f"{key}_m"), f"{context}.{key}_m", errors, None)
     in_lam = _number(raw.get(f"{key}_wavelengths"), f"{context}.{key}_wavelengths", errors, None)
     if meters is not None and in_lam is not None:
         errors.append(f"{context}: give {key}_m or {key}_wavelengths, not both")
         return None
-    if meters is not None:
-        return meters
-    if in_lam is not None:
-        return in_lam * wavelength
-    return None
+    return meters if in_lam is None else in_lam * wavelength
 
 
 def _position_tag(x: float, y: float) -> str:
@@ -206,75 +214,61 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ScenarioError(f"{source}: top level must be a JSON object")
 
     errors: list[str] = []
-    _check_keys(raw, "", errors)
-
-    scene_raw = raw.get("scene")
-    if not isinstance(scene_raw, dict):
-        errors.append("missing required 'scene' section")
-        raise ScenarioError(f"{source}: invalid scenario\n  - " + "\n  - ".join(errors))
-    _check_keys(scene_raw, "scene", errors)
-
-    fc = _number(scene_raw.get("carrier_frequency_hz"), "scene.carrier_frequency_hz", errors, 0.0)
-    if fc <= 0.0:
-        errors.append("scene.carrier_frequency_hz must be positive")
+    sections = {"": raw}
+    sections.update((name, _typed(raw.get(name), dict, name, errors, {})) for name in _KEYS if name)
+    for name, section in sections.items():
+        errors += [
+            f"{name or 'top level'}: unknown key {_quoted(key)}"
+            for key in section if key not in _KEYS[name]
+        ]
+    fields = {}
+    for name, (field, default, integer, low) in _NUMBERS.items():
+        section, _, key = name.partition(".")
+        value = fields[field] = _number(sections[section].get(key), name, errors, default, integer)
+        if low is not None and value is not None and (value < low if integer else value <= low):
+            errors.append(f"{name} must be {f'an integer >= {low}' if integer else 'positive'}")
+    fc, d0 = fields["carrier_frequency"], fields["central_distance"]
     wavelength = SPEED_OF_LIGHT / fc if fc > 0.0 else math.nan
+    if wavelength == math.inf:  # read on as NaN, which fails no later check
+        errors.append("scene.carrier_frequency_hz is too small: the wavelength overflows")
+        wavelength = math.nan
+    fields["target_rotation"] = math.radians(fields["target_rotation"])
 
-    d0 = _number(scene_raw.get("central_distance_m"), "scene.central_distance_m", errors, 0.0)
-    if d0 <= 0.0:
-        errors.append("scene.central_distance_m must be positive")
-
-    half_count = _number(scene_raw.get("half_count"), "scene.half_count", errors, -1, integer=True)
-    if half_count < 0:
-        errors.append("scene.half_count must be a non-negative integer")
-
-    spacing = _length(scene_raw, "spacing", wavelength, errors, "scene")
+    spacing = _length(sections["scene"], "spacing", wavelength, errors, "scene")
     if spacing is None:
         errors.append("scene: spacing_m or spacing_wavelengths is required")
-    elif spacing <= 0.0:
-        errors.append("scene.spacing must be positive")
+    elif spacing <= 0.0 or spacing == math.inf:  # a length in wavelengths may overflow
+        errors.append("scene.spacing must be positive and finite")
 
-    link_height = _number(scene_raw.get("link_height_m"), "scene.link_height_m", errors, 0.0)
-
-    target_raw = _typed(raw.get("target"), dict, "target", errors, {})
-    _check_keys(target_raw, "target", errors)
-    half_width = _number(target_raw.get("half_width_m"), "target.half_width_m", errors, None)
-    half_height = _number(target_raw.get("half_height_m"), "target.half_height_m", errors, None)
-    if half_width is not None and half_width <= 0.0:
-        errors.append("target.half_width_m must be positive")
-    if half_height is not None and half_height <= 0.0:
-        errors.append("target.half_height_m must be positive")
-    rotation = _number(target_raw.get("rotation_deg"), "target.rotation_deg", errors, 0.0)
+    # the sheet's rotated extent along the line of sight; NaN fails no check below
+    reach = (fields["target_half_width"] or 0.0) * abs(math.sin(fields["target_rotation"]))
     positions: list[tuple[float, float]] = []
     first_with_tag: dict[str, int] = {}
     label = "target.positions_m"
-    for i, p in enumerate(_typed(target_raw.get("positions_m"), list, label, errors, [])):
+    for i, p in enumerate(_typed(sections["target"].get("positions_m"), list, label, errors, [])):
         if not isinstance(p, list) or len(p) != 2:
             errors.append(f"{label}[{i}] must be an [x, y] pair")
             continue
         positions.append(tuple(_number(v, f"{label}[{i}]", errors) for v in p))
+        x = positions[-1][0]
+        if x - reach <= 0.0 or x + reach >= d0:
+            errors.append(
+                f"{label}[{i}]: the sheet spans x = {x - reach:g} to {x + reach:g} m, not "
+                f"strictly between the transmitter (x = 0) and the array (x = {d0:g} m)"
+            )
         j = first_with_tag.setdefault(_position_tag(*positions[-1]), i)
         if j != i:
             errors.append(f"{label}[{j}] and [{i}] are within 1 mm and would share export files")
 
-    proc = _typed(raw.get("processing"), dict, "processing", errors, {})
-    _check_keys(proc, "processing", errors)
-    n_fft = _number(proc.get("n_fft"), "processing.n_fft", errors, 257, integer=True)
-    if n_fft < 2 * half_count + 1:
+    if fields["n_fft"] < 2 * fields["half_count"] + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
-    step = _length(proc, "quadrature_step", wavelength, errors, "processing")
+    step = _length(sections["processing"], "quadrature_step", wavelength, errors, "processing")
     if step is None:
         step = wavelength / 10.0
     elif step <= 0.0:
         errors.append("processing.quadrature_step must be positive")
     elif step > wavelength / 10.0 * (1.0 + 1e-9):  # slack: 0.1 * lam may exceed lam / 10
         errors.append("processing.quadrature_step must not exceed lambda/10, the grid's cap")
-    rel_tol = _number(proc.get("quadrature_rel_tol"), "processing.quadrature_rel_tol", errors, None)
-    if rel_tol is not None and rel_tol <= 0.0:
-        errors.append("processing.quadrature_rel_tol must be positive when given")
-    noise_std = _number(proc.get("noise_std"), "processing.noise_std", errors, 0.0)
-    if noise_std < 0.0:
-        errors.append("processing.noise_std must be non-negative")
-    seed = _number(proc.get("seed"), "processing.seed", errors, None, integer=True)
 
     outputs = tuple(_typed(raw.get("outputs"), list, "outputs", errors, []))
     if not outputs:
@@ -288,52 +282,34 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             )
 
     if any(k != "array_factor" for k in outputs):
-        if half_width is None or half_height is None:
+        if fields["target_half_width"] is None or fields["target_half_height"] is None:
             errors.append("target: half_width_m and half_height_m are required for attenuation outputs")
         if not positions:
-            errors.append("target.positions_m must be non-empty for attenuation outputs")
+            errors.append(f"{label} must be non-empty for attenuation outputs")
 
-    af_raw = _typed(raw.get("array_factor"), dict, "array_factor", errors, {})
-    _check_keys(af_raw, "array_factor", errors)
     label = "array_factor.spacings_wavelengths"
     af_spacings = tuple(
         _number(s, label, errors) * wavelength
-        for s in _typed(af_raw.get("spacings_wavelengths"), list, label, errors, [0.5])
+        for s in _typed(sections["array_factor"].get("spacings_wavelengths"), list, label, errors, [0.5])
     )
-    if any(s <= 0.0 for s in af_spacings):
-        errors.append(f"{label} must be positive")
+    if any(s <= 0.0 or s == math.inf for s in af_spacings):
+        errors.append(f"{label} must be positive and finite")
     first_with_tag = {}
     for i, s in enumerate(af_spacings):
         j = first_with_tag.setdefault(_spacing_tag(s, wavelength), i)
         if j != i and not math.isnan(s):
             errors.append(f"{label}[{j}] and [{i}] would share export files")
-    af_points = _number(
-        af_raw.get("gamma_points"), "array_factor.gamma_points", errors, 721, integer=True
-    )
-    if af_points < 3:
-        errors.append("array_factor.gamma_points must be an integer >= 3")
 
     if errors:
         raise ScenarioError(f"{source}: invalid scenario\n  - " + "\n  - ".join(errors))
 
     config = ScenarioConfig(
-        carrier_frequency=fc,
-        central_distance=d0,
-        half_count=half_count,
+        **fields,
         spacing=spacing,
-        link_height=link_height,
-        target_half_width=half_width,
-        target_half_height=half_height,
-        target_rotation=math.radians(rotation),
         positions=tuple(positions),
-        n_fft=n_fft,
         quadrature_step=step,
-        quadrature_rel_tol=rel_tol,
-        noise_std=noise_std,
-        seed=seed,
         outputs=outputs,
         array_factor_spacings=af_spacings,
-        array_factor_points=af_points,
     )
     config.scene()  # surfaces the spacing <= lambda/4 coupling warning
     return config
@@ -347,10 +323,6 @@ def load_scenario(path) -> ScenarioConfig:
     except OSError as e:
         raise ScenarioError(f"{path}: {e.strerror or e}") from e
     return parse_scenario(text, source=str(path))
-
-
-def with_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:
-    return config if seed is None else replace(config, seed=seed)
 
 
 def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]) -> list[Row]:
