@@ -37,7 +37,7 @@ def field_ratio_vector(
 ) -> np.ndarray:
     """Field ratios E/E_ref of ``target`` at every antenna, ordered m = -M .. +M.
 
-    The grid defaults to ``discretize_sheet`` at lambda/10. The sheet
+    The grid defaults to ``discretize_sheet`` at level 0. The sheet
     discretization and the transmitter-side distances do not depend on the
     antenna, so they are computed once. Each antenna's node contributions
     are computed block by block into one array and summed whole, so the
@@ -83,30 +83,27 @@ def converged_field_ratio_vector(
     scene: Scene,
     target: TargetSheet,
     rel_tol: float = 1e-4,
-    initial_step: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Field ratios by Richardson-extrapolated step halving to rel_tol.
+    halvings: int = 0,
+) -> tuple[np.ndarray, int]:
+    """Field ratios by Richardson-extrapolated grid refinement to rel_tol.
 
-    Starts from ``min(initial_step, lambda/10)`` (default lambda/10), the
-    step ``discretize_sheet`` actually uses, and halves the grid step. After
-    each halving it forms ``R = (4 I(h) - I(2h)) / 3`` from the midpoint sums
-    at the new step h and the previous one, which cancels the rule's O(h^2)
-    error term, and stops once the worst per-antenna relative change between
-    two successive estimates is below ``rel_tol``. Returns that estimate and
-    h. When the next grid would exceed ``geometry.MAX_GRID_NODES``, raises
-    ValueError giving the change reached: between the last two estimates, or
-    between the two midpoint sums when the second estimate's grid is refused.
+    Starts from the ``discretize_sheet`` grid at level ``halvings`` (default
+    0) and goes up one level at a time, which halves the cell side exactly.
+    At each new level k it forms ``R = (4 I(k) - I(k-1)) / 3`` from the
+    midpoint sums, which cancels the rule's O(h^2) error term, and stops once
+    the worst per-antenna relative change between two successive estimates is
+    below ``rel_tol``; returns that estimate and k. When the next grid would
+    exceed ``geometry.MAX_GRID_NODES``, raises ValueError giving the change
+    reached: between the last two estimates, or between the two midpoint
+    sums when the second estimate's grid is refused.
     """
-    step = scene.wavelength / 10.0
-    if initial_step is not None:
-        step = min(initial_step, step)
-    previous = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+    previous = field_ratio_vector(scene, target, discretize_sheet(target, scene, halvings))
     estimate = None
     change = np.inf  # one midpoint sum: nothing compared yet
     while True:
-        step /= 2.0
+        halvings += 1
         try:
-            grid = discretize_sheet(target, scene, step)
+            grid = discretize_sheet(target, scene, halvings)
         except ValueError as e:
             raise ValueError(
                 f"quadrature stopped at relative change {change:.3g} against "
@@ -118,5 +115,5 @@ def converged_field_ratio_vector(
         new, old = (refined, previous) if estimate is None else (extrapolated, estimate)
         change = np.max(np.abs(new - old) / np.maximum(np.abs(new), 1e-300))
         if estimate is not None and change < rel_tol:
-            return extrapolated, step
+            return extrapolated, halvings
         previous, estimate = refined, extrapolated

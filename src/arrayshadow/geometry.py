@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+BASE_CELLS_PER_WAVELENGTH = 10  # level-0 sheet grid: cells of at most lambda/10
 # Largest quadrature grid built, refused before allocation. The 1e-4 desk
-# solve stops at a 109k-node lambda/40 grid; the budget still admits the
-# 7M-node lambda/320 desk grid (about 0.54 GB peak RSS) that a tighter
-# tolerance or a fixed fine step may ask for, and refuses the 28M-node
-# lambda/640 one (about 3.4 GB).
+# solve stops at the 110,400-node level-2 (lambda/40) grid; the budget still
+# admits the 7M-node level-5 (lambda/320) desk grid (about 0.54 GB peak RSS)
+# that a tighter tolerance or a finer fixed level may ask for, and refuses
+# the 28M-node level-6 one (about 3.4 GB).
 MAX_GRID_NODES = 10_000_000
 
 
@@ -109,7 +110,6 @@ class QuadratureGrid:
 
     points: np.ndarray  # shape (N, 3)
     areas: np.ndarray   # shape (N,), m^2
-    step: float         # largest cell side, m
 
 
 def antenna_positions(scene: Scene) -> np.ndarray:
@@ -121,28 +121,25 @@ def antenna_positions(scene: Scene) -> np.ndarray:
     return scene.tx + offsets
 
 
-def discretize_sheet(
-    target: TargetSheet, scene: Scene, step_hint: float | None = None
-) -> QuadratureGrid:
+def discretize_sheet(target: TargetSheet, scene: Scene, halvings: int = 0) -> QuadratureGrid:
     """Uniform midpoint-rule grid on the (possibly rotated) sheet.
 
-    The actual cell side never exceeds min(step_hint, lambda/10); the hint
-    defaults to lambda/10. Cell areas sum to the exact sheet area. A grid
-    of more than ``MAX_GRID_NODES`` nodes raises ValueError before any
-    allocation.
+    Level 0 takes the fewest cells along each sheet axis whose side is at
+    most lambda/10; level ``halvings`` bisects every level-0 cell that many
+    times along both axes, so each level has exactly four times the nodes of
+    the one before. Cell areas sum to the exact sheet area. A grid of more
+    than ``MAX_GRID_NODES`` nodes raises ValueError before any allocation.
     """
-    lam = scene.wavelength
-    if step_hint is None:
-        step_hint = lam / 10.0
-    if step_hint <= 0.0:
-        raise ValueError("step_hint must be positive")
-    step = min(step_hint, lam / 10.0)
-
+    if halvings < 0 or int(halvings) != halvings:
+        raise ValueError("halvings must be a non-negative integer")
+    base_step = scene.wavelength / BASE_CELLS_PER_WAVELENGTH
     ay, az = target.half_width, target.half_height
-    ny, nz = np.ceil(2.0 * ay / step), np.ceil(2.0 * az / step)  # floats: may be inf
-    if ny * nz > MAX_GRID_NODES:
+    with np.errstate(over="ignore"):  # level-0 counts times 2**halvings; inf is refused
+        ny, nz = (np.ldexp(np.ceil(2.0 * a / base_step), halvings) for a in (ay, az))
+        nodes = ny * nz
+    if nodes > MAX_GRID_NODES:
         raise ValueError(
-            f"quadrature grid of {ny * nz:,.0f} nodes at step {step:.3g} m exceeds "
+            f"quadrature grid of {nodes:,.0f} nodes at level {halvings} exceeds "
             f"the budget of {MAX_GRID_NODES:,} nodes"
         )
     ny, nz = int(ny), int(nz)
@@ -163,4 +160,4 @@ def discretize_sheet(
         + zz.reshape(-1, 1) * vertical
     )
     areas = np.full(ny * nz, dy * dz)
-    return QuadratureGrid(points=points, areas=areas, step=max(dy, dz))
+    return QuadratureGrid(points=points, areas=areas)

@@ -27,7 +27,7 @@ from .array_model import (
     uniform_weights,
 )
 from .em_model import excess_attenuation_db
-from .geometry import SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet
+from .geometry import BASE_CELLS_PER_WAVELENGTH, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet
 from .sensing import (
     attenuation_spectrum_from_snapshots,
     mean_attenuation_from_snapshots,
@@ -60,7 +60,7 @@ class ScenarioConfig:
     target_rotation: float
     positions: tuple[tuple[float, float], ...]
     n_fft: int
-    quadrature_step: float
+    quadrature_halvings: int
     quadrature_rel_tol: float | None
     outputs: tuple[str, ...]
     array_factor_spacings: tuple[float, ...]
@@ -111,20 +111,21 @@ class ResultTable:
 _REQUIRED = object()
 
 # Every numeric key of the format, once: key -> (ScenarioConfig field,
-# default, integer, lower bound). The default is _REQUIRED, None (the key is
-# optional) or a value. A float bound is exclusive (all are 0: "positive"),
-# an integer bound inclusive; None sets no bound.
+# default, integer, lower bound, upper bound). The default is _REQUIRED, None
+# (optional) or a value. A float lower bound is exclusive (all are 0:
+# "positive"), integer bounds inclusive, None none; the upper bounds keep a run
+# within a few hundred MB.
 _NUMBERS = {
-    "scene.carrier_frequency_hz": ("carrier_frequency", _REQUIRED, False, 0.0),
-    "scene.central_distance_m": ("central_distance", _REQUIRED, False, 0.0),
-    "scene.half_count": ("half_count", _REQUIRED, True, 0),
-    "scene.link_height_m": ("link_height", 0.0, False, None),
-    "target.half_width_m": ("target_half_width", None, False, 0.0),
-    "target.half_height_m": ("target_half_height", None, False, 0.0),
-    "target.rotation_deg": ("target_rotation", 0.0, False, None),  # radians once read
-    "processing.n_fft": ("n_fft", 257, True, None),  # >= the array size, checked below
-    "processing.quadrature_rel_tol": ("quadrature_rel_tol", None, False, 0.0),
-    "array_factor.gamma_points": ("array_factor_points", 721, True, 3),
+    "scene.carrier_frequency_hz": ("carrier_frequency", _REQUIRED, False, 0.0, None),
+    "scene.central_distance_m": ("central_distance", _REQUIRED, False, 0.0, None),
+    "scene.half_count": ("half_count", _REQUIRED, True, 0, 100),
+    "scene.link_height_m": ("link_height", 0.0, False, None, None),
+    "target.half_width_m": ("target_half_width", None, False, 0.0, None),
+    "target.half_height_m": ("target_half_height", None, False, 0.0, None),
+    "target.rotation_deg": ("target_rotation", 0.0, False, None, None),  # radians once read
+    "processing.n_fft": ("n_fft", 257, True, None, 2**20),  # >= the array size, checked below
+    "processing.quadrature_rel_tol": ("quadrature_rel_tol", None, False, 0.0, None),
+    "array_factor.gamma_points": ("array_factor_points", 721, True, 3, 100_001),
 }
 # The format's other keys, each read by hand in parse_scenario.
 _OTHER_KEYS = (
@@ -222,11 +223,13 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             for key in section if key not in _KEYS[name]
         ]
     fields = {}
-    for name, (field, default, integer, low) in _NUMBERS.items():
+    for name, (field, default, integer, low, high) in _NUMBERS.items():
         section, _, key = name.partition(".")
         value = fields[field] = _number(sections[section].get(key), name, errors, default, integer)
         if low is not None and value is not None and (value < low if integer else value <= low):
             errors.append(f"{name} must be {f'an integer >= {low}' if integer else 'positive'}")
+        if high is not None and value is not None and value > high:
+            errors.append(f"{name} must be an integer <= {high}")
     fc, d0 = fields["carrier_frequency"], fields["central_distance"]
     wavelength = SPEED_OF_LIGHT / fc if fc > 0.0 else math.nan
     if wavelength == math.inf:  # read on as NaN, which fails no later check
@@ -263,12 +266,16 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if fields["n_fft"] < 2 * fields["half_count"] + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
     step = _length(sections["processing"], "quadrature_step", wavelength, errors, "processing")
+    base_step = wavelength / BASE_CELLS_PER_WAVELENGTH
     if step is None:
-        step = wavelength / 10.0
+        step = base_step
     elif step <= 0.0:
         errors.append("processing.quadrature_step must be positive")
-    elif step > wavelength / 10.0 * (1.0 + 1e-9):  # slack: 0.1 * lam may exceed lam / 10
+    elif step > base_step * (1.0 + 1e-9):  # slack: 0.1 * lam may exceed lam / 10
         errors.append("processing.quadrature_step must not exceed lambda/10, the grid's cap")
+    # the coarsest grid level whose cells are no larger than step, with the same slack
+    levels = math.log2(base_step) - math.log2(step) if 0.0 < step < base_step else 0.0
+    halvings = math.ceil(levels - 1e-9)
 
     outputs = tuple(_typed(raw.get("outputs"), list, "outputs", errors, []))
     if not outputs:
@@ -307,7 +314,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         **fields,
         spacing=spacing,
         positions=tuple(positions),
-        quadrature_step=step,
+        quadrature_halvings=halvings,
         outputs=outputs,
         array_factor_spacings=af_spacings,
     )
@@ -330,7 +337,7 @@ def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]
     tag = _position_tag(x, y)
     try:
         obs = observe(
-            scene, config.target_at(x, y), config.quadrature_step, config.quadrature_rel_tol
+            scene, config.target_at(x, y), config.quadrature_halvings, config.quadrature_rel_tol
         )
 
         # quantities in name order, each by ascending index: the export order

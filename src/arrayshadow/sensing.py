@@ -61,22 +61,20 @@ class Observation(NamedTuple):
 def observe(
     scene: Scene,
     target: TargetSheet,
-    step: float | None = None,
+    halvings: int = 0,
     rel_tol: float | None = None,
 ) -> Observation:
     """Solve the sheet integral once and form the empty and occupied snapshots.
 
-    Without ``rel_tol`` the sheet is discretized at ``step`` (default
-    lambda/10, never coarser); with it the step is halved from ``step``
-    until successive Richardson estimates agree to ``rel_tol`` (see
-    ``converged_field_ratio_vector``). Noiseless.
+    Without ``rel_tol`` the sheet is solved on the ``discretize_sheet`` grid
+    at level ``halvings`` (default 0, cells of at most lambda/10); with it
+    the level is raised from there until successive Richardson estimates
+    agree to ``rel_tol`` (``converged_field_ratio_vector``). Noiseless.
     """
     if rel_tol is not None:
-        ratios, _ = converged_field_ratio_vector(
-            scene, target, rel_tol=rel_tol, initial_step=step
-        )
+        ratios, _ = converged_field_ratio_vector(scene, target, rel_tol, halvings)
     else:
-        ratios = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+        ratios = field_ratio_vector(scene, target, discretize_sheet(target, scene, halvings))
     empty = boresight_steering(scene)
     return Observation(ratios, empty, empty * ratios)
 
@@ -122,11 +120,11 @@ def attenuation_spectrum_from_snapshots(
         raise ValueError(f"n_fft {n_fft} smaller than the array size {n}")
     half = n // 2
 
+    slots = np.arange(-half, half + 1) % n_fft
     padded0 = np.zeros(n_fft, dtype=complex)
     padded1 = np.zeros(n_fft, dtype=complex)
-    for i, m in enumerate(range(-half, half + 1)):
-        padded0[m % n_fft] = r_empty[i]
-        padded1[m % n_fft] = r_occupied[i]
+    padded0[slots] = r_empty
+    padded1[slots] = r_occupied
     spec0 = np.fft.fft(padded0)
     spec1 = np.fft.fft(padded1)
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from arrayshadow import (
+    ArraySpec,
     QuadratureGrid,
+    Scene,
     TargetSheet,
     antenna_positions,
     converged_field_ratio_vector,
@@ -13,7 +17,7 @@ from arrayshadow import (
     field_ratio_vector,
 )
 from arrayshadow.oracles import dense_quadrature_field_ratio, free_space_ratio_vector
-from conftest import WAVELENGTH, make_paper_target
+from conftest import CARRIER_HZ, WAVELENGTH, make_paper_target
 
 # knife-edge validation geometry: edge plane halfway down the link,
 # sheet tall and wide enough that only the tracked edge matters
@@ -90,13 +94,13 @@ class TestFieldRatio:
 
     def test_target_intersecting_antenna_rejected(self, paper_scene):
         grid = QuadratureGrid(
-            points=np.array([[4.0, 0.0, 0.9]]), areas=np.array([1e-4]), step=1e-2
+            points=np.array([[4.0, 0.0, 0.9]]), areas=np.array([1e-4])
         )
         with pytest.raises(ValueError, match="intersects"):
             field_ratio_vector(paper_scene, make_paper_target(), grid)
         # a sheet through any antenna is outside the model
         on_m2 = QuadratureGrid(
-            points=antenna_positions(paper_scene)[-1:], areas=np.array([1e-4]), step=1e-2
+            points=antenna_positions(paper_scene)[-1:], areas=np.array([1e-4])
         )
         with pytest.raises(ValueError, match="intersects"):
             field_ratio_vector(paper_scene, make_paper_target(), on_m2)
@@ -132,31 +136,32 @@ class TestExcessAttenuation:
 class TestQuadratureConvergence:
     def test_step_halving_change_is_small(self, paper_scene):
         target = make_paper_target()
-        coarse = field_ratio_vector(
-            paper_scene, target, discretize_sheet(target, paper_scene, WAVELENGTH / 40)
-        )
-        fine = field_ratio_vector(
-            paper_scene, target, discretize_sheet(target, paper_scene, WAVELENGTH / 80)
-        )
+        coarse = field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, 2))
+        fine = field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, 3))
         change = np.max(np.abs(fine - coarse) / np.abs(fine))
         assert change < 5e-4
 
-    def test_initial_step_above_grid_cap_still_refines(self, paper_scene):
-        # the grid never goes coarser than lambda/10, so halving starts there
+    def test_start_level_is_where_refinement_begins(self, paper_scene, monkeypatch):
+        levels = []
+
+        def recording_discretize_sheet(target, scene, halvings):
+            levels.append(halvings)
+            return discretize_sheet(target, scene, halvings)
+
+        monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
-        ratios, step = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4)
-        coarse, coarse_step = converged_field_ratio_vector(
-            paper_scene, target, rel_tol=1e-4, initial_step=WAVELENGTH / 2
+        _, k = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4, halvings=1)
+        assert levels == list(range(1, k + 1)) and k >= 3
+
+    def test_returned_level_reproduces_the_estimate(self, paper_scene, converged_on_los):
+        ratios, k = converged_on_los
+        assert k == 2
+        target = make_paper_target()
+        fine, coarse = (
+            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, level))
+            for level in (k, k - 1)
         )
-        assert step == pytest.approx(WAVELENGTH / 40, rel=1e-12)
-        assert coarse_step == step
-        assert_allclose(coarse, ratios, rtol=0, atol=0)
-        # the returned step reproduces the returned Richardson estimate
-        fine, half = (
-            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, h))
-            for h in (step, 2.0 * step)
-        )
-        assert_allclose((4.0 * fine - half) / 3.0, ratios, rtol=1e-12)
+        assert_allclose((4.0 * fine - coarse) / 3.0, ratios, rtol=1e-12)
 
     def test_on_los_solve_stops_after_three_grids(self, paper_scene, monkeypatch):
         nodes = []
@@ -167,16 +172,16 @@ class TestQuadratureConvergence:
             return grid
 
         monkeypatch.setattr(em_model, "discretize_sheet", counting_discretize_sheet)
-        _, step = converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
-        assert step == pytest.approx(WAVELENGTH / 40, rel=1e-12)
-        assert len(nodes) == 3 and sum(nodes) <= 150_000
+        _, k = converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
+        assert k == 2
+        assert nodes == [6_900, 27_600, 110_400]  # counts double exactly along both axes
 
     def test_meets_tolerance_against_a_finer_estimate(self, paper_scene):
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
         ratios, _ = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4)
         fine, half = (
-            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, h))
-            for h in (WAVELENGTH / 320, WAVELENGTH / 160)
+            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, k))
+            for k in (5, 4)
         )
         assert_allclose(ratios, (4.0 * fine - half) / 3.0, rtol=1e-5)
 
@@ -190,3 +195,45 @@ class TestQuadratureConvergence:
             for i, m in enumerate(range(-2, 3)):
                 reference = dense_quadrature_field_ratio(paper_scene, target, m)
                 assert abs(ratios[i] - reference) / abs(reference) < 1e-3
+
+
+# a sheet clear of the transmitter and the array, drawn in desk units
+SHEETS = dict(
+    x=st.floats(0.5, 3.5),
+    y=st.floats(-0.6, 0.6),
+    theta=st.floats(-0.6, 0.6),
+    half_width=st.floats(0.05, 0.4),
+    half_height=st.floats(0.05, 0.4),
+    half_count=st.integers(0, 3),
+)
+
+
+def scaled_solve(scale, x, y, theta, half_width, half_height, half_count):
+    """Level-0 field ratios of a desk link with every length and the wavelength times scale."""
+    scene = Scene(
+        CARRIER_HZ / scale,
+        ArraySpec(half_count, scale * WAVELENGTH / 2.0, scale * 4.0),
+        link_height=scale * 0.9,
+    )
+    target = TargetSheet((scale * x, scale * y), scale * half_width, scale * half_height, theta)
+    return field_ratio_vector(scene, target)
+
+
+class TestPhysicsInvariants:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(scale=st.floats(0.25, 4.0), **SHEETS)
+    def test_scaling_lengths_with_the_wavelength_leaves_ratios(self, scale, **sheet):
+        # the cell counts depend only on the sheet size in wavelengths; the ratios are
+        # relative to the free-space field, so atol is 1e-12 of the unblocked field
+        assert_allclose(
+            scaled_solve(scale, **sheet), scaled_solve(1.0, **sheet), rtol=1e-12, atol=1e-12
+        )
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(**SHEETS)
+    def test_rotating_the_sheet_by_pi_leaves_ratios(self, theta, **sheet):
+        assert_allclose(
+            scaled_solve(1.0, theta=theta + np.pi, **sheet),
+            scaled_solve(1.0, theta=theta, **sheet),
+            rtol=1e-12,
+        )

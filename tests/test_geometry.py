@@ -44,16 +44,27 @@ class TestAntennaPositions:
 
 class TestDiscretizeSheet:
     def test_exact_tiling(self):
-        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0))  # 3 m wavelength, generous cap
+        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0))  # 3 m wavelength: 0.3 m level-0 cap
         target = TargetSheet((1.0, 0.0), 0.5, 0.5)
-        grid = discretize_sheet(target, scene, step_hint=0.25)
+        grid = discretize_sheet(target, scene)
         assert grid.points.shape == (16, 3)
         assert_allclose(grid.areas, 0.0625)
 
     def test_paper_grid_shape_and_area(self, paper_scene):
-        grid = discretize_sheet(make_paper_target(), paper_scene, WAVELENGTH / 10)
+        grid = discretize_sheet(make_paper_target(), paper_scene, 0)
         assert grid.points.shape[0] == 46 * 150
         assert grid.areas.sum() == pytest.approx(0.99, rel=1e-12)
+
+    def test_each_level_doubles_the_cells_along_both_axes(self, paper_scene):
+        target = make_paper_target(1.0, 0.3)  # unrotated: y and z are the sheet axes
+        grids = [discretize_sheet(target, paper_scene, k) for k in range(3)]
+        assert [len(g.areas) for g in grids] == [6_900, 27_600, 110_400]
+        for coarse, fine in zip(grids, grids[1:]):
+            assert_allclose(fine.areas, coarse.areas[0] / 4.0, rtol=1e-12)
+            for axis in (1, 2):
+                # each coarse midpoint is the mean of the two fine midpoints bisecting its cell
+                pairs = np.unique(fine.points[:, axis]).reshape(-1, 2).mean(axis=1)
+                assert_allclose(pairs, np.unique(coarse.points[:, axis]), rtol=0, atol=1e-12)
 
     def test_area_sum_exact(self, paper_scene):
         rng = np.random.default_rng(7)
@@ -64,8 +75,10 @@ class TestDiscretizeSheet:
             assert grid.areas.sum() == pytest.approx(4 * ay * az, rel=1e-12)
 
     def test_step_never_exceeds_cap(self, paper_scene):
-        grid = discretize_sheet(make_paper_target(), paper_scene, step_hint=1.0)
-        assert grid.step <= WAVELENGTH / 10
+        for k in (0, 1, 3):
+            grid = discretize_sheet(make_paper_target(), paper_scene, k)
+            cell_sides = [np.diff(np.unique(grid.points[:, axis]))[0] for axis in (1, 2)]
+            assert max(cell_sides) <= WAVELENGTH / 10 / 2**k
 
     def test_right_angle_rotation_contains_los_direction(self, paper_scene):
         target = make_paper_target(1.0, 0.4, rotation=np.pi / 2)
@@ -83,9 +96,10 @@ class TestDiscretizeSheet:
         offsets = (grid.points - center) @ normal
         assert_allclose(offsets, 0.0, atol=1e-12)
 
-    def test_bad_step_hint(self, paper_scene):
-        with pytest.raises(ValueError):
-            discretize_sheet(make_paper_target(), paper_scene, step_hint=0.0)
+    def test_bad_halvings_rejected(self, paper_scene):
+        for halvings in (-1, 0.5):
+            with pytest.raises(ValueError, match="halvings"):
+                discretize_sheet(make_paper_target(), paper_scene, halvings)
 
 
 class TestFrameProperties:

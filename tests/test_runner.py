@@ -95,7 +95,7 @@ class TestLoadScenario:
         cfg = load_scenario(write_config(tmp_path, minimal_config()))
         assert cfg.n_fft == 257
         assert cfg.target_rotation == 0.0
-        assert cfg.quadrature_step == pytest.approx(WAVELENGTH / 10, rel=1e-12)
+        assert cfg.quadrature_halvings == 0
 
     def test_coupling_warning_at_fifth_wavelength(self, tmp_path):
         raw = minimal_config()
@@ -156,6 +156,10 @@ class TestLoadScenario:
         ("processing", "quadrature_rel_tol", "x"),
         ("array_factor", "spacings_wavelengths", "0.5"),
         ("scene", "carrier_frequency_hz", 1e-300),  # the wavelength overflows
+        # integers large enough to exhaust memory in a run
+        ("scene", "half_count", 101),
+        ("processing", "n_fft", 10**18),
+        ("array_factor", "gamma_points", 10**18),
     ])
     def test_malformed_values_rejected_cleanly(self, tmp_path, capsys, section, key, value):
         raw = minimal_config()
@@ -293,13 +297,24 @@ class TestLoadScenario:
         for fc in (2.4868e9, 3e9, 5.8e9):
             raw = minimal_config(processing={"quadrature_step_wavelengths": 0.1})
             raw["scene"]["carrier_frequency_hz"] = fc
-            parse_scenario(json.dumps(raw))
+            assert parse_scenario(json.dumps(raw)).quadrature_halvings == 0
         for processing in ({"quadrature_step_wavelengths": 0.5}, {"quadrature_step_m": 0.05}):
             raw = minimal_config(processing=processing)
             with pytest.raises(ScenarioError, match="quadrature_step must not exceed"):
                 parse_scenario(json.dumps(raw))
             assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
             assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("processing, halvings", [
+        ({}, 0),
+        ({"quadrature_step_wavelengths": 0.05}, 1),
+        ({"quadrature_step_wavelengths": 0.04}, 2),
+        ({"quadrature_step_wavelengths": 0.1 / 32}, 5),
+        ({"quadrature_step_m": 1e-320}, 1057),  # parses; the node budget refuses it in a run
+    ])
+    def test_quadrature_step_resolves_to_the_coarsest_finer_level(self, processing, halvings):
+        raw = minimal_config(processing=processing)
+        assert parse_scenario(json.dumps(raw)).quadrature_halvings == halvings
 
     def test_array_factor_only_needs_no_target(self):
         cfg = load_preset("paper_fig3")
@@ -386,7 +401,7 @@ class TestRun:
         scene = cfg.scene()
         expected = []
         for x, y in sorted(cfg.positions):
-            obs = observe(scene, cfg.target_at(x, y), cfg.quadrature_step)
+            obs = observe(scene, cfg.target_at(x, y), cfg.quadrature_halvings)
             spectrum = attenuation_spectrum_from_snapshots(
                 obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, cfg.n_fft
             )
