@@ -47,7 +47,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sim.add_argument("config", help="scenario JSON file or preset name")
     sim.add_argument("--out", default="results", help="output directory (default: results)")
     sim.add_argument("--format", choices=("csv", "jsonl", "gnuplot"), default="csv")
-    sim.add_argument("--jobs", type=int, default=1, help="concurrent positions")
 
     val = sub.add_parser("validate", help="check a scenario file")
     val.add_argument("config", help="scenario JSON file or preset name")
@@ -90,7 +89,7 @@ def main(argv=None) -> int:
         _check_oracle_args(knife, args)
     try:
         if args.command == "simulate":
-            table = run(_resolve_config(args.config), jobs=args.jobs)
+            table = run(_resolve_config(args.config))
             for path in export(table, args.format, args.out):
                 print(path)
             return 0

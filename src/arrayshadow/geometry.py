@@ -16,11 +16,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 BASE_CELLS_PER_WAVELENGTH = 10  # level-0 sheet grid: cells of at most lambda/10
-# Largest quadrature grid built, refused before allocation. The 1e-4 desk
-# solve stops at the 110,400-node level-2 (lambda/40) grid; the budget still
-# admits the 7M-node level-5 (lambda/320) desk grid (about 0.54 GB peak RSS)
-# that a tighter tolerance or a finer fixed level may ask for, and refuses
-# the 28M-node level-6 one (about 3.4 GB).
+# Largest quadrature grid built, refused before allocation: it admits the
+# 3.5M-node level-5 (lambda/320) desk grid, about 250 MB peak RSS, and refuses
+# the 14.1M-node level-6 one. The 1e-4 desk solve stops at level 2 (55,200).
 MAX_GRID_NODES = 10_000_000
 
 
@@ -106,7 +104,7 @@ class TargetSheet:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Midpoint-rule nodes covering a target sheet."""
+    """Quadrature nodes on a target sheet and the area each one stands for."""
 
     points: np.ndarray  # shape (N, 3)
     areas: np.ndarray   # shape (N,), m^2
@@ -121,32 +119,46 @@ def antenna_positions(scene: Scene) -> np.ndarray:
     return scene.tx + offsets
 
 
-def discretize_sheet(target: TargetSheet, scene: Scene, halvings: int = 0) -> QuadratureGrid:
-    """Uniform midpoint-rule grid on the (possibly rotated) sheet.
+def grid_cells(target: TargetSheet, scene: Scene, halvings: int = 0) -> tuple[int, int]:
+    """Cells (across, up) of the whole sheet at grid level ``halvings``.
 
-    Level 0 takes the fewest cells along each sheet axis whose side is at
-    most lambda/10; level ``halvings`` bisects every level-0 cell that many
-    times along both axes, so each level has exactly four times the nodes of
-    the one before. Cell areas sum to the exact sheet area. A grid of more
-    than ``MAX_GRID_NODES`` nodes raises ValueError before any allocation.
+    Raises ValueError when the ``across * ceil(up / 2)`` nodes that
+    ``discretize_sheet`` builds would exceed ``MAX_GRID_NODES``.
     """
     if halvings < 0 or int(halvings) != halvings:
         raise ValueError("halvings must be a non-negative integer")
     base_step = scene.wavelength / BASE_CELLS_PER_WAVELENGTH
-    ay, az = target.half_width, target.half_height
     with np.errstate(over="ignore"):  # level-0 counts times 2**halvings; inf is refused
-        ny, nz = (np.ldexp(np.ceil(2.0 * a / base_step), halvings) for a in (ay, az))
-        nodes = ny * nz
+        ny, nz = (np.ldexp(np.ceil(2.0 * a / base_step), halvings)
+                  for a in (target.half_width, target.half_height))
+        nodes = ny * np.ceil(nz / 2.0)
     if nodes > MAX_GRID_NODES:
         raise ValueError(
             f"quadrature grid of {nodes:,.0f} nodes at level {halvings} exceeds "
             f"the budget of {MAX_GRID_NODES:,} nodes"
         )
-    ny, nz = int(ny), int(nz)
-    dy = 2.0 * ay / ny
-    dz = 2.0 * az / nz
+    return int(ny), int(nz)
+
+
+def discretize_sheet(target: TargetSheet, scene: Scene, halvings: int = 0) -> QuadratureGrid:
+    """Uniform midpoint-rule grid on the (possibly rotated) sheet, folded about z = h.
+
+    Level 0 takes the fewest cells along each sheet axis whose side is at
+    most lambda/10; level ``halvings`` bisects every level-0 cell that many
+    times along both axes, so each level has exactly four times the cells of
+    the one before. Only the rows with z >= h are built, each at twice its
+    cell area, but the row at z = h of an odd row count keeps its own area;
+    the areas sum to the exact sheet area.
+    """
+    ny, nz = grid_cells(target, scene, halvings)
+    ay, az = target.half_width, target.half_height
+    dy, dz = 2.0 * ay / ny, 2.0 * az / nz
     mids_y = (np.arange(ny) + 0.5) * dy - ay
-    mids_z = (np.arange(nz) + 0.5) * dz - az
+    # The TX, every antenna and the sheet centre share z = h, so r1 and r2 are
+    # even in z - h and each row below h adds what its mirror row above adds.
+    mids_z = ((np.arange(nz) + 0.5) * dz - az)[nz // 2:]
+    row_weights = np.full(len(mids_z), 2.0)
+    row_weights[0] -= nz % 2
 
     theta = target.rotation
     in_plane = np.array([-np.sin(theta), np.cos(theta), 0.0])
@@ -154,10 +166,6 @@ def discretize_sheet(target: TargetSheet, scene: Scene, halvings: int = 0) -> Qu
     center = np.array([*target.barycenter, scene.link_height])
 
     yy, zz = np.meshgrid(mids_y, mids_z, indexing="ij")
-    points = (
-        center
-        + yy.reshape(-1, 1) * in_plane
-        + zz.reshape(-1, 1) * vertical
-    )
-    areas = np.full(ny * nz, dy * dz)
+    points = center + yy.reshape(-1, 1) * in_plane + zz.reshape(-1, 1) * vertical
+    areas = np.tile(row_weights * (dy * dz), ny)
     return QuadratureGrid(points=points, areas=areas)

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -27,7 +26,9 @@ from .array_model import (
     uniform_weights,
 )
 from .em_model import excess_attenuation_db
-from .geometry import BASE_CELLS_PER_WAVELENGTH, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet
+from .geometry import (
+    BASE_CELLS_PER_WAVELENGTH, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, grid_cells,
+)
 from .sensing import (
     attenuation_spectrum_from_snapshots,
     mean_attenuation_from_snapshots,
@@ -318,7 +319,12 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         outputs=outputs,
         array_factor_spacings=af_spacings,
     )
-    config.scene()  # surfaces the spacing <= lambda/4 coupling warning
+    scene = config.scene()  # surfaces the spacing <= lambda/4 coupling warning
+    if any(k != "array_factor" for k in outputs):  # then a sheet and positions are set
+        try:  # every position has the same sheet, so one check covers the start level
+            grid_cells(config.target_at(*positions[0]), scene, halvings)
+        except ValueError as e:
+            raise ScenarioError(f"{source}: invalid scenario\n  - processing: {e}") from e
     return config
 
 
@@ -381,22 +387,19 @@ def _array_factor_rows(config: ScenarioConfig, scene: Scene) -> list[Row]:
     return rows
 
 
-def run(config: ScenarioConfig, jobs: int = 1) -> ResultTable:
+def run(config: ScenarioConfig) -> ResultTable:
     """Evaluate every requested quantity at every position.
 
-    Positions are independent and run on up to ``jobs`` threads. Rows come
-    in export order whatever ``jobs`` is: array-factor curves in
+    Rows come in export order: array-factor curves in
     ``array_factor_spacings`` order, then positions sorted by (x, y).
     """
     scene = config.scene()
     rows: list[Row] = []
     if "array_factor" in config.outputs:
         rows.extend(_array_factor_rows(config, scene))
-
-    if any(k != "array_factor" for k in config.outputs) and config.positions:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            chunks = pool.map(lambda p: _position_rows(config, scene, p), sorted(config.positions))
-            rows.extend(row for chunk in chunks for row in chunk)
+    if any(k != "array_factor" for k in config.outputs):
+        for xy in sorted(config.positions):
+            rows.extend(_position_rows(config, scene, xy))
     return ResultTable(rows=tuple(rows), config_hash=config.config_hash(), version=__version__)
 
 

@@ -16,6 +16,7 @@ from arrayshadow import (
     excess_attenuation_db,
     field_ratio_vector,
 )
+from arrayshadow.geometry import grid_cells
 from arrayshadow.oracles import dense_quadrature_field_ratio, free_space_ratio_vector
 from conftest import CARRIER_HZ, WAVELENGTH, make_paper_target
 
@@ -74,7 +75,7 @@ class TestFieldRatio:
         grid = discretize_sheet(target, paper_scene)
         monkeypatch.setattr(em_model, "_BLOCK_NODES", len(grid.areas))
         whole = field_ratio_vector(paper_scene, target, grid)
-        monkeypatch.setattr(em_model, "_BLOCK_NODES", 7)  # 6,900 nodes: ragged last block
+        monkeypatch.setattr(em_model, "_BLOCK_NODES", 7)  # 3,450 nodes: ragged last block
         assert np.array_equal(field_ratio_vector(paper_scene, target, grid), whole)
 
     def test_full_plane_sheet_kills_the_field(self, paper_scene):
@@ -174,7 +175,7 @@ class TestQuadratureConvergence:
         monkeypatch.setattr(em_model, "discretize_sheet", counting_discretize_sheet)
         _, k = converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
         assert k == 2
-        assert nodes == [6_900, 27_600, 110_400]  # counts double exactly along both axes
+        assert nodes == [3_450, 13_800, 55_200]  # counts double exactly along both axes
 
     def test_meets_tolerance_against_a_finer_estimate(self, paper_scene):
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
@@ -208,6 +209,20 @@ SHEETS = dict(
 )
 
 
+def full_midpoint_grid(scene: Scene, target: TargetSheet) -> QuadratureGrid:
+    """The level-0 midpoint grid over the whole sheet, below the link plane too."""
+    ny, nz = grid_cells(target, scene)
+    ay, az = target.half_width, target.half_height
+    u = (np.arange(ny) + 0.5) * (2.0 * ay / ny) - ay
+    v = (np.arange(nz) + 0.5) * (2.0 * az / nz) - az
+    uu, vv = (a.ravel() for a in np.meshgrid(u, v, indexing="ij"))
+    (x, y), theta = target.barycenter, target.rotation
+    points = np.column_stack(
+        [x - uu * np.sin(theta), y + uu * np.cos(theta), scene.link_height + vv]
+    )
+    return QuadratureGrid(points=points, areas=np.full(ny * nz, 4.0 * ay * az / (ny * nz)))
+
+
 def scaled_solve(scale, x, y, theta, half_width, half_height, half_count):
     """Level-0 field ratios of a desk link with every length and the wavelength times scale."""
     scene = Scene(
@@ -237,3 +252,25 @@ class TestPhysicsInvariants:
             scaled_solve(1.0, theta=theta, **sheet),
             rtol=1e-12,
         )
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(link_height=st.floats(0.0, 2.0), **SHEETS)
+    def test_folded_grid_matches_the_full_sheet(
+        self, link_height, x, y, theta, half_width, half_height, half_count
+    ):
+        # the drawn half-heights give both odd and even level-0 row counts
+        scene = Scene(CARRIER_HZ, ArraySpec(half_count, WAVELENGTH / 2.0, 4.0), link_height)
+        target = TargetSheet((x, y), half_width, half_height, theta)
+        assert_allclose(
+            field_ratio_vector(scene, target),
+            field_ratio_vector(scene, target, full_midpoint_grid(scene, target)),
+            rtol=1e-12,
+        )
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(**SHEETS)
+    def test_swapping_transmitter_and_central_antenna_leaves_its_ratio(self, x, theta, **sheet):
+        # the sheet mirrored about x = d_0 / 2 sees the m = 0 link from its other end
+        m0 = sheet["half_count"]
+        mirrored = scaled_solve(1.0, 4.0 - x, theta=-theta, **sheet)[m0]
+        assert mirrored == pytest.approx(scaled_solve(1.0, x, theta=theta, **sheet)[m0], rel=1e-12)

@@ -9,6 +9,7 @@ from arrayshadow import (
     antenna_positions,
     discretize_sheet,
 )
+from arrayshadow.geometry import grid_cells
 from conftest import WAVELENGTH, make_paper_target
 
 
@@ -47,18 +48,20 @@ class TestDiscretizeSheet:
         scene = Scene(1e8, ArraySpec(0, 1.0, 4.0))  # 3 m wavelength: 0.3 m level-0 cap
         target = TargetSheet((1.0, 0.0), 0.5, 0.5)
         grid = discretize_sheet(target, scene)
-        assert grid.points.shape == (16, 3)
-        assert_allclose(grid.areas, 0.0625)
+        # 4 x 4 cells of 0.0625; the 2 rows above the link plane are built at twice the area
+        assert grid.points.shape == (8, 3)
+        assert_allclose(grid.areas, 0.125)
+        assert_allclose(np.unique(grid.points[:, 2]), [0.125, 0.375])
 
     def test_paper_grid_shape_and_area(self, paper_scene):
         grid = discretize_sheet(make_paper_target(), paper_scene, 0)
-        assert grid.points.shape[0] == 46 * 150
+        assert grid.points.shape[0] == 46 * 75  # 150 rows, folded
         assert grid.areas.sum() == pytest.approx(0.99, rel=1e-12)
 
     def test_each_level_doubles_the_cells_along_both_axes(self, paper_scene):
         target = make_paper_target(1.0, 0.3)  # unrotated: y and z are the sheet axes
         grids = [discretize_sheet(target, paper_scene, k) for k in range(3)]
-        assert [len(g.areas) for g in grids] == [6_900, 27_600, 110_400]
+        assert [len(g.areas) for g in grids] == [3_450, 13_800, 55_200]
         for coarse, fine in zip(grids, grids[1:]):
             assert_allclose(fine.areas, coarse.areas[0] / 4.0, rtol=1e-12)
             for axis in (1, 2):
@@ -73,6 +76,16 @@ class TestDiscretizeSheet:
             target = TargetSheet((1.5, 0.3), ay, az, rotation=rng.uniform(0, np.pi))
             grid = discretize_sheet(target, paper_scene)
             assert grid.areas.sum() == pytest.approx(4 * ay * az, rel=1e-12)
+            ny, nz = grid_cells(target, paper_scene)
+            assert len(grid.areas) == ny * -(-nz // 2)  # the rows at or above the link plane
+
+    def test_odd_row_count_keeps_the_middle_row_once(self):
+        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0), link_height=1.0)  # 0.3 m level-0 cap
+        target = TargetSheet((1.0, 0.0), 0.5, 0.3)  # 4 x 3 cells of 0.25 x 0.2 m
+        grid = discretize_sheet(target, scene)
+        assert grid.points.shape == (8, 3)
+        assert_allclose(grid.points[:, 2].reshape(4, 2), [[1.0, 1.2]] * 4, rtol=0, atol=1e-12)
+        assert_allclose(grid.areas.reshape(4, 2), [[0.05, 0.1]] * 4, rtol=1e-12)
 
     def test_step_never_exceeds_cap(self, paper_scene):
         for k in (0, 1, 3):

@@ -310,11 +310,23 @@ class TestLoadScenario:
         ({"quadrature_step_wavelengths": 0.05}, 1),
         ({"quadrature_step_wavelengths": 0.04}, 2),
         ({"quadrature_step_wavelengths": 0.1 / 32}, 5),
-        ({"quadrature_step_m": 1e-320}, 1057),  # parses; the node budget refuses it in a run
     ])
     def test_quadrature_step_resolves_to_the_coarsest_finer_level(self, processing, halvings):
         raw = minimal_config(processing=processing)
         assert parse_scenario(json.dumps(raw)).quadrature_halvings == halvings
+
+    @pytest.mark.parametrize("step, refused", [
+        (1e-4, "56,524,800 nodes at level 7"),
+        (1e-320, "inf nodes at level 1057"),
+    ])
+    def test_fixed_grid_over_the_node_budget_is_a_validation_error(
+        self, tmp_path, capsys, step, refused
+    ):
+        raw = minimal_config(processing={"quadrature_step_m": step})
+        with pytest.raises(ScenarioError, match=f"{refused} exceeds the budget of 10,000,000"):
+            parse_scenario(json.dumps(raw))
+        assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert refused in capsys.readouterr().err
 
     def test_array_factor_only_needs_no_target(self):
         cfg = load_preset("paper_fig3")
@@ -380,20 +392,23 @@ class TestRun:
         quantities = dict.fromkeys(r.quantity for r in run(parse_scenario(json.dumps(raw))).rows)
         assert list(quantities) == ["array_factor_db[da=0.5lam]", "array_factor_db[da=0.1lam]"]
 
-    @pytest.mark.parametrize("processing, budget, message", [
-        ({}, 1_000, "exceeds the budget"),
+    @pytest.mark.parametrize("processing, budget, message, cli_exit", [
+        # the CLI parses under the same budget, which refuses the start level: exit 1
+        ({}, 1_000, "exceeds the budget", 1),
         # two midpoint sums fit, the second estimate's grid does not: a finite change
-        ({"quadrature_rel_tol": 1e-4}, 30_000, r"relative change \d[\d.e+-]* against rel_tol 0.0001"),
+        ({"quadrature_rel_tol": 1e-4}, 30_000,
+         r"relative change \d[\d.e+-]* against rel_tol 0.0001", 2),
     ], ids=["fixed_grid", "converged"])
     def test_node_budget_fails_cleanly(
-        self, tmp_path, capsys, monkeypatch, processing, budget, message
+        self, tmp_path, capsys, monkeypatch, processing, budget, message, cli_exit
     ):
-        # lambda/10 desk grid: 6,900 nodes; lambda/20: 27,600; lambda/40: 110,400
-        monkeypatch.setattr(geometry, "MAX_GRID_NODES", budget)
+        # folded desk grids: lambda/10: 3,450 nodes; lambda/20: 13,800; lambda/40: 55,200
         path = write_config(tmp_path, minimal_config(processing=processing))
+        config = load_scenario(path)
+        monkeypatch.setattr(geometry, "MAX_GRID_NODES", budget)  # after the parse-time check
         with pytest.raises(SimulationError, match=rf"position \(1, 0\): .*{message}"):
-            run(load_scenario(path))
-        assert cli_main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+            run(config)
+        assert cli_main(["simulate", str(path), "--out", str(tmp_path / "o")]) == cli_exit
         assert "budget" in capsys.readouterr().err
 
     def test_rows_are_derived_from_one_observation(self):
@@ -411,10 +426,6 @@ class TestRun:
                 uniform_weights(cfg.half_count), obs.empty, obs.occupied
             ))
         assert [r.value for r in run(cfg).rows] == expected
-
-    def test_jobs_do_not_change_rows(self):
-        cfg = load_preset("paper_fig6")
-        assert run(cfg, jobs=3).rows == run(cfg, jobs=1).rows
 
     def test_array_factor_output(self):
         table = run(load_preset("paper_fig3"))
@@ -438,9 +449,12 @@ class TestExport:
         # lines "<preset> <format> <file> <sha256>"; replace the file when bytes move on purpose
         pinned = (Path(__file__).parent / "export_digests.txt").read_text().splitlines()
         got = []
-        for preset in ("paper_fig3", "paper_fig4", "paper_fig5", "paper_fig6"):
+        presets = dict.fromkeys(("paper_fig3", "paper_fig4", "paper_fig5", "paper_fig6"),
+                                ("csv", "jsonl", "gnuplot"))
+        presets["knife_edge_validation"] = ("jsonl",)  # fig3-fig6 cover the other writers
+        for preset, formats in presets.items():
             table = run(load_preset(preset))
-            for fmt in ("csv", "jsonl", "gnuplot"):
+            for fmt in formats:
                 for path in export(table, fmt, tmp_path / preset / fmt):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     got.append(f"{preset} {fmt} {path.name} {digest}")
@@ -565,10 +579,8 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[1:] == ["0,6.02059991"]
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        code = (
-            "import sys, arrayshadow.cli; "
-            "print(sorted({'scipy', 'arrayshadow.oracles'} & set(sys.modules)))"
-        )
+        absent = "{'scipy', 'arrayshadow.oracles', 'concurrent.futures'}"
+        code = f"import sys, arrayshadow.cli; print(sorted({absent} & set(sys.modules)))"
         src = str(Path(geometry.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
