@@ -68,7 +68,7 @@ class Scene:
                 f"antenna spacing {self.array.spacing:.4g} m is <= lambda/4 "
                 f"({self.wavelength / 4.0:.4g} m); the no-mutual-coupling "
                 "assumption is violated",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
     @property

@@ -1,8 +1,9 @@
 """Scenario ingestion, sweep orchestration and plot-ready exports.
 
-A run is fully determined by one JSON config file. Angles cross the file
-and export boundary in degrees and are radians internally; spacings and
-quadrature steps may be given in meters or in wavelengths. Exports are
+A run is fully determined by one JSON config file. Room lengths are in
+meters and electrical lengths (the antenna spacing, the quadrature step)
+in wavelengths; angles cross the file and export boundary in degrees and
+are radians internally. Exports are
 byte-stable: fixed ordering, fixed float formatting, and a header that
 carries the config hash and the package version.
 """
@@ -55,7 +56,6 @@ class ScenarioConfig:
     central_distance: float
     half_count: int
     spacing: float
-    link_height: float
     target_half_width: float | None
     target_half_height: float | None
     target_rotation: float
@@ -75,7 +75,6 @@ class ScenarioConfig:
                 spacing=self.spacing,
                 central_distance=self.central_distance,
             ),
-            link_height=self.link_height,
         )
 
     def target_at(self, x: float, y: float) -> TargetSheet:
@@ -110,30 +109,30 @@ class ResultTable:
 
 
 _REQUIRED = object()
+_STEP_CAP = 1 / BASE_CELLS_PER_WAVELENGTH  # wavelengths: the level-0 grid's largest cell side
 
 # Every numeric key of the format, once: key -> (ScenarioConfig field,
 # default, integer, lower bound, upper bound). The default is _REQUIRED, None
 # (optional) or a value. A float lower bound is exclusive (all are 0:
-# "positive"), integer bounds inclusive, None none; the upper bounds keep a run
+# "positive"), an upper bound and integer bounds inclusive, None none. The
+# quadrature step's bound is the grid's lambda/10 cap; the others keep a run
 # within a few hundred MB.
 _NUMBERS = {
     "scene.carrier_frequency_hz": ("carrier_frequency", _REQUIRED, False, 0.0, None),
     "scene.central_distance_m": ("central_distance", _REQUIRED, False, 0.0, None),
     "scene.half_count": ("half_count", _REQUIRED, True, 0, 100),
-    "scene.link_height_m": ("link_height", 0.0, False, None, None),
+    "scene.spacing_wavelengths": ("spacing", _REQUIRED, False, 0.0, None),  # meters once read
     "target.half_width_m": ("target_half_width", None, False, 0.0, None),
     "target.half_height_m": ("target_half_height", None, False, 0.0, None),
     "target.rotation_deg": ("target_rotation", 0.0, False, None, None),  # radians once read
     "processing.n_fft": ("n_fft", 257, True, None, 2**20),  # >= the array size, checked below
+    "processing.quadrature_step_wavelengths":  # a grid level once read
+        ("quadrature_halvings", _STEP_CAP, False, 0.0, _STEP_CAP),
     "processing.quadrature_rel_tol": ("quadrature_rel_tol", None, False, 0.0, None),
     "array_factor.gamma_points": ("array_factor_points", 721, True, 3, 100_001),
 }
-# The format's other keys, each read by hand in parse_scenario.
-_OTHER_KEYS = (
-    "scene.spacing_m", "scene.spacing_wavelengths", "target.positions_m",
-    "processing.quadrature_step_m", "processing.quadrature_step_wavelengths",
-    "outputs", "array_factor.spacings_wavelengths",
-)
+# The format's list-valued keys, each read by hand in parse_scenario.
+_OTHER_KEYS = ("target.positions_m", "outputs", "array_factor.spacings_wavelengths")
 
 
 def _keys_by_section() -> dict[str, set[str]]:
@@ -184,16 +183,6 @@ def _quoted(text: str) -> str:
     return f"'{text}'" if len(text) <= 40 else f"'{text[:40]}...'"
 
 
-def _length(raw: dict, key: str, wavelength: float, errors: list, context: str) -> float | None:
-    """Resolve a '<key>_m' or '<key>_wavelengths' pair to meters; None when neither is given."""
-    meters = _number(raw.get(f"{key}_m"), f"{context}.{key}_m", errors, None)
-    in_lam = _number(raw.get(f"{key}_wavelengths"), f"{context}.{key}_wavelengths", errors, None)
-    if meters is not None and in_lam is not None:
-        errors.append(f"{context}: give {key}_m or {key}_wavelengths, not both")
-        return None
-    return meters if in_lam is None else in_lam * wavelength
-
-
 def _position_tag(x: float, y: float) -> str:
     """Position part of export file names; positions closer than 1 mm share it."""
     return f"x{x:.3f}_y{y:.3f}"
@@ -230,19 +219,21 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         if low is not None and value is not None and (value < low if integer else value <= low):
             errors.append(f"{name} must be {f'an integer >= {low}' if integer else 'positive'}")
         if high is not None and value is not None and value > high:
-            errors.append(f"{name} must be an integer <= {high}")
+            errors.append(f"{name} must be {'an integer' if integer else 'a number'} <= {high}")
     fc, d0 = fields["carrier_frequency"], fields["central_distance"]
     wavelength = SPEED_OF_LIGHT / fc if fc > 0.0 else math.nan
     if wavelength == math.inf:  # read on as NaN, which fails no later check
         errors.append("scene.carrier_frequency_hz is too small: the wavelength overflows")
         wavelength = math.nan
     fields["target_rotation"] = math.radians(fields["target_rotation"])
-
-    spacing = _length(sections["scene"], "spacing", wavelength, errors, "scene")
-    if spacing is None:
-        errors.append("scene: spacing_m or spacing_wavelengths is required")
-    elif spacing <= 0.0 or spacing == math.inf:  # a length in wavelengths may overflow
-        errors.append("scene.spacing must be positive and finite")
+    fields["spacing"] *= wavelength
+    if fields["spacing"] == math.inf:
+        errors.append("scene.spacing_wavelengths is too large: the spacing overflows")
+    # the coarsest grid level k whose cells, lambda/10 * 2**-k, are no larger than the
+    # step; the slack keeps a log2 that lands just above a whole level on that level
+    step = fields["quadrature_halvings"]
+    level = math.log2(_STEP_CAP) - math.log2(step) if step > 0.0 else 0.0
+    fields["quadrature_halvings"] = math.ceil(level - 1e-9)
 
     # the sheet's rotated extent along the line of sight; NaN fails no check below
     reach = (fields["target_half_width"] or 0.0) * abs(math.sin(fields["target_rotation"]))
@@ -266,17 +257,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
 
     if fields["n_fft"] < 2 * fields["half_count"] + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
-    step = _length(sections["processing"], "quadrature_step", wavelength, errors, "processing")
-    base_step = wavelength / BASE_CELLS_PER_WAVELENGTH
-    if step is None:
-        step = base_step
-    elif step <= 0.0:
-        errors.append("processing.quadrature_step must be positive")
-    elif step > base_step * (1.0 + 1e-9):  # slack: 0.1 * lam may exceed lam / 10
-        errors.append("processing.quadrature_step must not exceed lambda/10, the grid's cap")
-    # the coarsest grid level whose cells are no larger than step, with the same slack
-    levels = math.log2(base_step) - math.log2(step) if 0.0 < step < base_step else 0.0
-    halvings = math.ceil(levels - 1e-9)
 
     outputs = tuple(_typed(raw.get("outputs"), list, "outputs", errors, []))
     if not outputs:
@@ -312,17 +292,12 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         raise ScenarioError(f"{source}: invalid scenario\n  - " + "\n  - ".join(errors))
 
     config = ScenarioConfig(
-        **fields,
-        spacing=spacing,
-        positions=tuple(positions),
-        quadrature_halvings=halvings,
-        outputs=outputs,
-        array_factor_spacings=af_spacings,
+        **fields, positions=tuple(positions), outputs=outputs, array_factor_spacings=af_spacings
     )
     scene = config.scene()  # surfaces the spacing <= lambda/4 coupling warning
     if any(k != "array_factor" for k in outputs):  # then a sheet and positions are set
         try:  # every position has the same sheet, so one check covers the start level
-            grid_cells(config.target_at(*positions[0]), scene, halvings)
+            grid_cells(config.target_at(*positions[0]), scene, config.quadrature_halvings)
         except ValueError as e:
             raise ScenarioError(f"{source}: invalid scenario\n  - processing: {e}") from e
     return config

@@ -112,9 +112,10 @@ def test_criterion_03_per_antenna_spread(desk):
 def test_criterion_04_close_spacing(desk):
     _, _, spectra, _ = desk
     peaks = {y: spectra[y].main_lobe_attenuation() for y in (-0.05, 0.0, 0.05)}
-    argmax_bins = {
-        y: int(np.argmax(spectra[y].excess_attenuation_db)) for y in (-0.05, 0.0, 0.05)
-    }
+    # the first bin within 1e-9 dB of the peak: at y = 0 the spectrum is symmetric and
+    # its two mirror maxima tie to rounding, so a raw argmax may pick either
+    dbs = {y: spectra[y].excess_attenuation_db for y in (-0.05, 0.0, 0.05)}
+    argmax_bins = {y: int(np.argmax(db >= db.max() - 1e-9)) for y, db in dbs.items()}
     bands_ok = all(13.0 <= p <= 19.0 for p in peaks.values())
     distinct = len(set(argmax_bins.values())) == 3
     ok = bands_ok and distinct

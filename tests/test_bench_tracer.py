@@ -27,7 +27,7 @@ def converged_desk_scenario() -> str:
     """One paper_fig4 desk position solved to a relative tolerance of 1e-4."""
     return json.dumps({
         "scene": {"carrier_frequency_hz": 2.4868e9, "central_distance_m": 4.0, "half_count": 2,
-                  "spacing_wavelengths": 0.5, "link_height_m": 0.9},
+                  "spacing_wavelengths": 0.5},
         "target": {"half_width_m": 0.275, "half_height_m": 0.9, "positions_m": [[1.0, 0.0]]},
         "processing": {"n_fft": 257, "quadrature_step_wavelengths": 0.1,
                        "quadrature_rel_tol": 1e-4},

@@ -135,6 +135,12 @@ class TestValidation:
         with pytest.warns(UserWarning, match="lambda/4"):
             Scene(2.4868e9, ArraySpec(2, 0.2 * WAVELENGTH, 4.0), link_height=0.9)
 
+    def test_coupling_warning_points_at_the_caller(self):
+        # not at the dataclass-generated __init__, which reads as "<string>"
+        with pytest.warns(UserWarning, match="lambda/4") as record:
+            Scene(2.4868e9, ArraySpec(2, 0.2 * WAVELENGTH, 4.0))
+        assert [w.filename for w in record] == [__file__]
+
     def test_no_warning_above_quarter_wavelength(self, recwarn):
         Scene(2.4868e9, ArraySpec(2, 0.3 * WAVELENGTH, 4.0), link_height=0.9)
         assert not [w for w in recwarn if "lambda/4" in str(w.message)]

@@ -6,9 +6,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,7 +57,6 @@ def minimal_config(**overrides):
             "central_distance_m": 4.0,
             "half_count": 2,
             "spacing_wavelengths": 0.5,
-            "link_height_m": 0.9,
         },
         "target": {
             "half_width_m": 0.275,
@@ -131,12 +132,6 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "absent.json")
 
-    def test_both_spacing_keys_rejected(self, tmp_path):
-        raw = minimal_config()
-        raw["scene"]["spacing_m"] = 0.06
-        with pytest.raises(ScenarioError, match="not both"):
-            load_scenario(write_config(tmp_path, raw))
-
     def test_positions_required_for_attenuation_outputs(self, tmp_path):
         raw = minimal_config()
         raw["target"]["positions_m"] = []
@@ -185,10 +180,18 @@ class TestLoadScenario:
         assert cli_main(["validate", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["noise_std", "seed"])
-    def test_deleted_noise_keys_rejected(self, tmp_path, capsys, key):
-        raw = minimal_config(processing={key: 1})
-        with pytest.raises(ScenarioError, match=f"processing: unknown key '{key}'"):
+    @pytest.mark.parametrize("section, key", [
+        ("processing", "noise_std"),
+        ("processing", "seed"),
+        # lengths in meters beside the wavelength keys, and a height that moved no output
+        ("scene", "spacing_m"),
+        ("processing", "quadrature_step_m"),
+        ("scene", "link_height_m"),
+    ])
+    def test_deleted_keys_rejected(self, tmp_path, capsys, section, key):
+        raw = minimal_config()
+        raw.setdefault(section, {})[key] = 1
+        with pytest.raises(ScenarioError, match=f"{section}: unknown key '{key}'"):
             parse_scenario(json.dumps(raw))
         assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
         assert "error" in capsys.readouterr().err
@@ -209,17 +212,27 @@ class TestLoadScenario:
         raw = minimal_config()
         section, _, key = path.rpartition(".")
         (raw.setdefault(section, {}) if section else raw)[key] = value
-        try:
-            config = parse_scenario(json.dumps(raw))
-        except ScenarioError:
-            return
 
         def numbers(v):
             if isinstance(v, (tuple, list)):
                 return [n for item in v for n in numbers(item)]
             return [v] if isinstance(v, (int, float)) else []
 
-        assert all(math.isfinite(n) for n in numbers(list(asdict(config).values())))
+        # a small budget, set before the parse, keeps every accepted grid cheap to run
+        with mock.patch.object(geometry, "MAX_GRID_NODES", 60_000):
+            try:
+                config = parse_scenario(json.dumps(raw))
+            except ScenarioError:
+                return
+            assert all(math.isfinite(n) for n in numbers(list(asdict(config).values())))
+            try:
+                table = run(config)
+            except SimulationError:
+                return
+        assert table.rows
+        with tempfile.TemporaryDirectory() as out:
+            for fmt in ("csv", "jsonl", "gnuplot"):
+                assert export(table, fmt, Path(out) / fmt)
 
     @pytest.mark.parametrize("x, rotation_deg, half_width", [
         (-1.0, 0.0, 0.275),
@@ -293,14 +306,15 @@ class TestLoadScenario:
         assert "error" in capsys.readouterr().err
 
     def test_quadrature_step_capped_at_a_tenth_wavelength(self, tmp_path, capsys):
-        # 0.1 * lambda is one ulp above lambda / 10 at 3 and 5.8 GHz
+        # the cap is in wavelengths, so 0.1 is level 0 at every carrier
         for fc in (2.4868e9, 3e9, 5.8e9):
             raw = minimal_config(processing={"quadrature_step_wavelengths": 0.1})
             raw["scene"]["carrier_frequency_hz"] = fc
             assert parse_scenario(json.dumps(raw)).quadrature_halvings == 0
-        for processing in ({"quadrature_step_wavelengths": 0.5}, {"quadrature_step_m": 0.05}):
-            raw = minimal_config(processing=processing)
-            with pytest.raises(ScenarioError, match="quadrature_step must not exceed"):
+        for step in (0.5, 0.41, 0.1000001):  # 0.41 wavelengths is about 0.05 m
+            raw = minimal_config(processing={"quadrature_step_wavelengths": step})
+            message = "quadrature_step_wavelengths must be a number <= 0.1"
+            with pytest.raises(ScenarioError, match=message):
                 parse_scenario(json.dumps(raw))
             assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
             assert "error" in capsys.readouterr().err
@@ -315,14 +329,14 @@ class TestLoadScenario:
         raw = minimal_config(processing=processing)
         assert parse_scenario(json.dumps(raw)).quadrature_halvings == halvings
 
-    @pytest.mark.parametrize("step, refused", [
-        (1e-4, "56,524,800 nodes at level 7"),
-        (1e-320, "inf nodes at level 1057"),
+    @pytest.mark.parametrize("step, refused", [  # in wavelengths: 1e-4 m and 1e-320 m
+        (8.3e-4, "56,524,800 nodes at level 7"),
+        (8.3e-320, "inf nodes at level 1057"),
     ])
     def test_fixed_grid_over_the_node_budget_is_a_validation_error(
         self, tmp_path, capsys, step, refused
     ):
-        raw = minimal_config(processing={"quadrature_step_m": step})
+        raw = minimal_config(processing={"quadrature_step_wavelengths": step})
         with pytest.raises(ScenarioError, match=f"{refused} exceeds the budget of 10,000,000"):
             parse_scenario(json.dumps(raw))
         assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
