@@ -16,29 +16,30 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .array_model import (
-    array_factor,
-    planar_steering,
-    uniform_weights,
-)
+from .array_model import array_factor, planar_steering, uniform_weights
 from .em_model import excess_attenuation_db
 from .geometry import (
     BASE_CELLS_PER_WAVELENGTH, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, grid_cells,
 )
 from .sensing import (
-    attenuation_spectrum_from_snapshots,
-    mean_attenuation_from_snapshots,
-    observe,
+    attenuation_spectrum_from_snapshots, mean_attenuation_from_snapshots, observe,
 )
 
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
 
 _FLOAT_FMT = ".9g"  # significant digits pinned for byte-stable exports
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps writes them
+# The most values one run may export. It admits nine positions at n_fft = 2**20,
+# which peak at about 380 MB.
+MAX_EXPORTED_VALUES = 10_000_000
+# The longest link, in wavelengths. Much longer links lose the digits of the path
+# difference r1 + r2 - d0: at 1e15 m an absorbing sheet reads as a 17 dB gain.
+_MAX_LINK_WAVELENGTHS = 1e6
+
 
 class ScenarioError(Exception):
     """Config file failed to parse or validate; message lists every problem."""
@@ -90,22 +91,33 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-class Row(NamedTuple):
-    """One exported value in dB; ``index`` is an antenna index or a DoA in degrees."""
+@dataclass(frozen=True)
+class Block:
+    """One exported curve in dB: a quantity at one position, or one array-factor spacing.
 
+    ``index`` pairs with ``values``: antenna indices (integers) or DoAs in degrees,
+    or None for the mean, whose one value is exported beside ``x`` and ``y``.
+    """
+
+    stem: str  # csv/gnuplot file name, without suffix
+    columns: tuple[str, ...]  # csv/gnuplot column headers
+    quantity: str
     x: float | None
     y: float | None
-    index: float | int | None
-    quantity: str
-    value: float
-    stem: str  # csv/gnuplot file name, without suffix
+    index: np.ndarray | None
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
 class ResultTable:
-    rows: tuple[Row, ...]
+    blocks: tuple[Block, ...]  # in export order
     config_hash: str
     version: str
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every exported value, in results.jsonl order."""
+        return np.concatenate([np.empty(0), *(b.values for b in self.blocks)])
 
 
 _REQUIRED = object()
@@ -225,6 +237,9 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if wavelength == math.inf:  # read on as NaN, which fails no later check
         errors.append("scene.carrier_frequency_hz is too small: the wavelength overflows")
         wavelength = math.nan
+    if d0 > _MAX_LINK_WAVELENGTHS * wavelength:
+        errors.append(f"scene.central_distance_m must be <= {_MAX_LINK_WAVELENGTHS:g} wavelengths "
+                      f"({_MAX_LINK_WAVELENGTHS * wavelength:g} m)")
     fields["target_rotation"] = math.radians(fields["target_rotation"])
     fields["spacing"] *= wavelength
     if fields["spacing"] == math.inf:
@@ -288,6 +303,16 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         if j != i and not math.isnan(s):
             errors.append(f"{label}[{j}] and [{i}] would share export files")
 
+    # per position: at most n_fft DoA bins, one value per antenna, the mean
+    per_position = zip(("doa_spectrum", "per_antenna_attenuation", "mean_attenuation"),
+                       (fields["n_fft"], 2 * fields["half_count"] + 1, 1))
+    exported = len(positions) * sum(n for kind, n in per_position if kind in outputs)
+    if "array_factor" in outputs:
+        exported += len(af_spacings) * fields["array_factor_points"]
+    if exported > MAX_EXPORTED_VALUES:  # NaN fails this check
+        errors.append(f"outputs: {exported:,} exported values exceed the budget of "
+                      f"{MAX_EXPORTED_VALUES:,}")
+
     if errors:
         raise ScenarioError(f"{source}: invalid scenario\n  - " + "\n  - ".join(errors))
 
@@ -313,7 +338,7 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(text, source=str(path))
 
 
-def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]) -> list[Row]:
+def _position_blocks(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]) -> list[Block]:
     x, y = xy
     tag = _position_tag(x, y)
     try:
@@ -322,77 +347,53 @@ def _position_rows(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]
         )
 
         # quantities in name order, each by ascending index: the export order
-        rows: list[Row] = []
+        blocks: list[Block] = []
         if "doa_spectrum" in config.outputs:
             spectrum = attenuation_spectrum_from_snapshots(
                 obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, config.n_fft
             )
-            stem = f"doa_spectrum_{tag}"
-            gammas = np.degrees(spectrum.gamma_grid).tolist()
-            for gamma, value in zip(gammas, spectrum.excess_attenuation_db.tolist()):
-                rows.append(Row(x, y, gamma, "doa_excess_attenuation_db", value, stem))
+            blocks.append(Block(f"doa_spectrum_{tag}", ("gamma_deg", "excess_attenuation_db"),
+                                "doa_excess_attenuation_db", x, y,
+                                np.degrees(spectrum.gamma_grid), spectrum.excess_attenuation_db))
         if "per_antenna_attenuation" in config.outputs:
-            stem = f"per_antenna_{tag}"
-            values = excess_attenuation_db(obs.ratios).tolist()
-            for m, value in zip(scene.array.indices.tolist(), values):
-                rows.append(Row(x, y, m, "excess_attenuation_antenna_db", value, stem))
+            blocks.append(Block(f"per_antenna_{tag}", ("antenna_index", "excess_attenuation_db"),
+                                "excess_attenuation_antenna_db", x, y,
+                                scene.array.indices, excess_attenuation_db(obs.ratios)))
         if "mean_attenuation" in config.outputs:
             value = mean_attenuation_from_snapshots(
                 uniform_weights(scene.array.half_count), obs.empty, obs.occupied
             )
-            rows.append(Row(x, y, None, "mean_excess_attenuation_db", value, "mean_attenuation"))
-        return rows
+            blocks.append(Block("mean_attenuation", ("x_m", "y_m", "mean_excess_attenuation_db"),
+                                "mean_excess_attenuation_db", x, y, None, np.array([value])))
+        return blocks
     except ValueError as e:
         raise SimulationError(f"position ({x:g}, {y:g}): {e}") from e
 
 
-def _array_factor_rows(config: ScenarioConfig, scene: Scene) -> list[Row]:
-    rows: list[Row] = []
-    w = uniform_weights(config.half_count)
+def _array_factor_block(config: ScenarioConfig, scene: Scene, spacing: float) -> Block:
+    tag = _spacing_tag(spacing, scene.wavelength)
     gammas_deg = np.linspace(0.0, 180.0, config.array_factor_points)[1:-1]
-    for spacing in config.array_factor_spacings:
-        tag = _spacing_tag(spacing, scene.wavelength)
-        quantity = f"array_factor_db[da={tag}lam]"
-        stem = f"array_factor_da{tag}lam"
-        a = planar_steering(config.half_count, spacing, scene.wavelength, np.radians(gammas_deg))
-        with np.errstate(divide="ignore"):  # a null gives -inf dB
-            values = 20.0 * np.log10(np.abs(array_factor(w, a)))
-        for gamma_deg, value in zip(gammas_deg.tolist(), values.tolist()):
-            rows.append(Row(None, None, gamma_deg, quantity, value, stem))
-    return rows
+    a = planar_steering(config.half_count, spacing, scene.wavelength, np.radians(gammas_deg))
+    with np.errstate(divide="ignore"):  # a null gives -inf dB
+        values = 20.0 * np.log10(np.abs(array_factor(uniform_weights(config.half_count), a)))
+    return Block(f"array_factor_da{tag}lam", ("gamma_deg", "array_factor_db"),
+                 f"array_factor_db[da={tag}lam]", None, None, gammas_deg, values)
 
 
 def run(config: ScenarioConfig) -> ResultTable:
     """Evaluate every requested quantity at every position.
 
-    Rows come in export order: array-factor curves in
+    Blocks come in export order: array-factor curves in
     ``array_factor_spacings`` order, then positions sorted by (x, y).
     """
     scene = config.scene()
-    rows: list[Row] = []
+    blocks: list[Block] = []
     if "array_factor" in config.outputs:
-        rows.extend(_array_factor_rows(config, scene))
+        blocks.extend(_array_factor_block(config, scene, s) for s in config.array_factor_spacings)
     if any(k != "array_factor" for k in config.outputs):
         for xy in sorted(config.positions):
-            rows.extend(_position_rows(config, scene, xy))
-    return ResultTable(rows=tuple(rows), config_hash=config.config_hash(), version=__version__)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return format(value, _FLOAT_FMT)
-
-
-# Column headers per quantity; every array_factor_db[da=...] quantity shares one.
-_COLUMNS = {
-    "doa_excess_attenuation_db": ("gamma_deg", "excess_attenuation_db"),
-    "excess_attenuation_antenna_db": ("antenna_index", "excess_attenuation_db"),
-    "mean_excess_attenuation_db": ("x_m", "y_m", "mean_excess_attenuation_db"),
-}
-_ARRAY_FACTOR_COLUMNS = ("gamma_deg", "array_factor_db")
+            blocks.extend(_position_blocks(config, scene, xy))
+    return ResultTable(blocks=tuple(blocks), config_hash=config.config_hash(), version=__version__)
 
 
 def export(table: ResultTable, fmt: str, out_dir) -> list[Path]:
@@ -400,8 +401,8 @@ def export(table: ResultTable, fmt: str, out_dir) -> list[Path]:
 
     ``csv`` and ``gnuplot`` split the table into one two-column (or
     three-column) file per quantity group; ``jsonl`` writes a single
-    results.jsonl with one object per row. Output is byte-identical for
-    identical tables.
+    results.jsonl with one object per exported value. Each file is written
+    block by block, and is byte-identical for identical tables.
     """
     if fmt not in ("csv", "jsonl", "gnuplot"):
         raise ValueError(f"unknown export format '{fmt}'")
@@ -415,46 +416,53 @@ def export(table: ResultTable, fmt: str, out_dir) -> list[Path]:
         raise SimulationError(f"{out_dir}: {e.strerror or e}") from e
 
 
+def _json_number(value) -> str:
+    """``value`` to 9 significant digits, spelt as ``json.dumps`` spells the float."""
+    text = repr(float(format(value, _FLOAT_FMT)))
+    return _JSON_NONFINITE.get(text, text)
+
+
 def _export_jsonl(table: ResultTable, out_dir: Path) -> Path:
     path = out_dir / "results.jsonl"
-    lines = []
-    for row in table.rows:
-        record = {
-            "config_hash": table.config_hash,
-            "version": table.version,
-            "x_m": None if row.x is None else float(_fmt(row.x)),
-            "y_m": None if row.y is None else float(_fmt(row.y)),
-            "index": row.index if isinstance(row.index, (int, type(None))) else float(_fmt(row.index)),
-            "quantity": row.quantity,
-            "value": float(_fmt(row.value)) if math.isfinite(row.value) else row.value,
-            "units": "dB",
-        }
-        lines.append(json.dumps(record, allow_nan=True))
-    path.write_text("\n".join(lines) + "\n")
+    meta = f'"config_hash": {json.dumps(table.config_hash)}, "version": {json.dumps(table.version)}'
+    with path.open("w") as f:
+        for block in table.blocks:
+            x, y = ("null" if v is None else _json_number(v) for v in (block.x, block.y))
+            if block.index is None:
+                indices = ["null"]
+            elif block.index.dtype.kind == "i":  # antenna indices stay JSON integers
+                indices = map(str, block.index.tolist())
+            else:
+                indices = map(_json_number, block.index.tolist())
+            head = f'{{{meta}, "x_m": {x}, "y_m": {y}, "index": '
+            tail = f', "quantity": {json.dumps(block.quantity)}, "value": '
+            f.writelines(
+                f'{head}{index}{tail}{_json_number(value)}, "units": "dB"}}\n'
+                for index, value in zip(indices, block.values.tolist())
+            )
     return path
 
 
 def _export_columns(table: ResultTable, fmt: str, out_dir: Path) -> list[Path]:
-    groups: dict[str, list[Row]] = {}
-    for row in table.rows:
-        groups.setdefault(row.stem, []).append(row)
+    groups: dict[str, list[Block]] = {}  # only mean_attenuation spans several blocks
+    for block in table.blocks:
+        groups.setdefault(block.stem, []).append(block)
 
     sep = "," if fmt == "csv" else " "
     suffix = ".csv" if fmt == "csv" else ".dat"
     header_meta = f"# config_hash={table.config_hash} version={table.version}"
     written = []
     for stem in sorted(groups):
-        rows = groups[stem]
+        blocks = groups[stem]
         path = out_dir / (stem + suffix)
-        columns = sep.join(_COLUMNS.get(rows[0].quantity, _ARRAY_FACTOR_COLUMNS))
-        if fmt == "gnuplot":
-            columns = "# " + columns
-        body = [
-            sep.join(_fmt(v) for v in (
-                (row.x, row.y, row.value) if row.index is None else (row.index, row.value)
-            ))
-            for row in rows
-        ]
-        path.write_text("\n".join([header_meta, columns, *body]) + "\n")
+        columns = sep.join(blocks[0].columns)
+        with path.open("w") as f:
+            f.write(f"{header_meta}\n{'# ' if fmt == 'gnuplot' else ''}{columns}\n")
+            for block in blocks:
+                if block.index is None:  # the mean: one line of x, y and the value
+                    lines = [(block.x, block.y, *block.values.tolist())]
+                else:
+                    lines = zip(block.index.tolist(), block.values.tolist())
+                f.writelines(sep.join(format(v, _FLOAT_FMT) for v in line) + "\n" for line in lines)
         written.append(path)
     return written

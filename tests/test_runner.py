@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from arrayshadow import (
@@ -50,6 +51,23 @@ JSON_VALUES = st.recursive(
 )
 
 
+# a valid value for every numeric key, in ranges around minimal_config that keep each
+# run cheap: at most nine antennas, and fixed grids of at most 15,402 nodes (level 1)
+VALID_NUMBERS = {
+    "scene.carrier_frequency_hz": st.floats(1e9, 2.5e9),
+    "scene.central_distance_m": st.floats(2.0, 8.0),
+    "scene.half_count": st.integers(0, 4),
+    "scene.spacing_wavelengths": st.floats(0.3, 1.0),  # above the lambda/4 coupling warning
+    "target.half_width_m": st.floats(0.05, 0.3),
+    "target.half_height_m": st.floats(0.1, 0.9),
+    "target.rotation_deg": st.floats(-180.0, 180.0),
+    "processing.n_fft": st.integers(9, 2048),
+    "processing.quadrature_step_wavelengths": st.floats(0.05, 0.1),
+    "processing.quadrature_rel_tol": st.none() | st.floats(1e-2, 0.1),
+    "array_factor.gamma_points": st.integers(3, 2000),
+}
+
+
 def minimal_config(**overrides):
     cfg = {
         "scene": {
@@ -67,6 +85,15 @@ def minimal_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def records(table):
+    """(x, y, index, quantity, value) per exported value, in export order; the mean's index is None."""
+    out = []
+    for b in table.blocks:
+        indices = [None] if b.index is None else b.index.tolist()
+        out += [(b.x, b.y, i, b.quantity, v) for i, v in zip(indices, b.values.tolist())]
+    return out
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -229,10 +256,46 @@ class TestLoadScenario:
                 table = run(config)
             except SimulationError:
                 return
-        assert table.rows
+        assert table.rows.size > 0
         with tempfile.TemporaryDirectory() as out:
             for fmt in ("csv", "jsonl", "gnuplot"):
                 assert export(table, fmt, Path(out) / fmt)
+
+    def test_valid_value_draws_cover_every_numeric_key(self):
+        assert VALID_NUMBERS.keys() == runner._NUMBERS.keys()
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        numbers=st.fixed_dictionaries(VALID_NUMBERS),
+        xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+        ys=st.lists(st.integers(-20, 20), min_size=2, max_size=2, unique=True),
+        outputs=st.lists(st.sampled_from(runner.OUTPUT_KINDS), min_size=1, unique=True),
+        spacings=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3, unique_by=lambda s: f"{s:g}"),
+    )
+    def test_valid_values_run_and_export(self, numbers, xs, ys, outputs, spacings):
+        raw = {"outputs": outputs, "array_factor": {"spacings_wavelengths": spacings}}
+        for name, value in numbers.items():
+            section, _, key = name.partition(".")
+            raw.setdefault(section, {})[key] = value
+        # the sheet reaches at most 0.3 m along the link, which is at least 2 m long
+        d0 = numbers["scene.central_distance_m"]
+        raw["target"]["positions_m"] = [[0.6 + x * (d0 - 1.2), 0.05 * y] for x, y in zip(xs, ys)]
+
+        # small budgets, set before the parse, keep every accepted run cheap
+        with mock.patch.object(geometry, "MAX_GRID_NODES", 60_000), \
+                mock.patch.object(runner, "MAX_EXPORTED_VALUES", 5_000):
+            try:
+                table = run(parse_scenario(json.dumps(raw)))
+            except (ScenarioError, SimulationError) as e:  # only a budget may refuse a valid file
+                assert "budget" in str(e)
+                event(f"refused: {type(e).__name__}")
+                return
+        event("ran and exported")
+        with tempfile.TemporaryDirectory() as out:
+            for fmt in ("csv", "jsonl", "gnuplot"):
+                assert export(table, fmt, Path(out) / fmt)
+            lines = (Path(out) / "jsonl" / "results.jsonl").read_text().splitlines()
+        assert len(lines) == len(table.rows) > 0
 
     @pytest.mark.parametrize("x, rotation_deg, half_width", [
         (-1.0, 0.0, 0.275),
@@ -342,6 +405,48 @@ class TestLoadScenario:
         assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
         assert refused in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d0", [1e15, 1e6 * WAVELENGTH * (1 + 1e-9)])
+    def test_link_longer_than_a_million_wavelengths_rejected(self, tmp_path, capsys, d0):
+        raw = minimal_config()
+        raw["scene"]["central_distance_m"] = d0
+        message = r"central_distance_m must be <= 1e\+06 wavelengths \(120554 m\)"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(json.dumps(raw))
+        assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert "central_distance_m" in capsys.readouterr().err
+        raw["scene"]["central_distance_m"] = 1e6 * WAVELENGTH
+        assert parse_scenario(json.dumps(raw)).central_distance == 1e6 * WAVELENGTH
+
+    @pytest.mark.parametrize("accepted, refused, raw", [
+        # positions x (2**20 DoA bins + 5 antennas + the mean); 9 positions are 9,437,238
+        (9, "10,485,820", minimal_config(
+            outputs=["doa_spectrum", "per_antenna_attenuation", "mean_attenuation"],
+            processing={"n_fft": 2**20},
+        )),
+        # spacings x gamma points; 99 spacings are 9,900,099
+        (99, "10,000,100", minimal_config(
+            outputs=["array_factor"], array_factor={"gamma_points": 100_001},
+        )),
+    ], ids=["positions", "array_factor"])
+    def test_exported_values_over_the_budget_rejected(
+        self, tmp_path, capsys, accepted, refused, raw
+    ):
+        def with_count(n):  # parse only: the accepted config is never run
+            if raw["outputs"] == ["array_factor"]:
+                raw["array_factor"]["spacings_wavelengths"] = [0.01 * (k + 1) for k in range(n)]
+            else:
+                raw["target"]["positions_m"] = [[1.0, 0.1 * k] for k in range(n)]
+            return json.dumps(raw)
+
+        parse_scenario(with_count(accepted))
+        message = f"outputs: {refused} exported values exceed the budget of 10,000,000"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(with_count(accepted + 1))
+        path = tmp_path / "scenario.json"
+        path.write_text(with_count(accepted + 1))
+        assert cli_main(["validate", str(path)]) == 1
+        assert refused in capsys.readouterr().err
+
     def test_array_factor_only_needs_no_target(self):
         cfg = load_preset("paper_fig3")
         assert cfg.positions == ()
@@ -352,15 +457,16 @@ class TestLoadScenario:
 class TestRun:
     def test_fig4_rows(self):
         table = run(load_preset("paper_fig4"))
-        quantities = {row.quantity for row in table.rows}
-        assert "excess_attenuation_antenna_db" in quantities
-        assert "mean_excess_attenuation_db" in quantities
-        assert "doa_excess_attenuation_db" in quantities
-        per_antenna = [r for r in table.rows if r.quantity == "excess_attenuation_antenna_db"]
-        assert len(per_antenna) == 3 * 5
-        spectra = [r for r in table.rows if r.quantity == "doa_excess_attenuation_db"]
+        counts: dict[str, int] = {}
+        for block in table.blocks:
+            counts[block.quantity] = counts.get(block.quantity, 0) + block.values.size
         # at half-wavelength spacing every one of the 257 bins maps inside (0, pi)
-        assert len(spectra) == 3 * 257
+        assert counts == {
+            "doa_excess_attenuation_db": 3 * 257,
+            "excess_attenuation_antenna_db": 3 * 5,
+            "mean_excess_attenuation_db": 3,
+        }
+        assert len(table.rows) == sum(counts.values())
 
     def test_on_los_jsonl_value(self, tmp_path):
         table = run(load_preset("paper_fig4"))
@@ -386,24 +492,21 @@ class TestRun:
             single = minimal_config()
             single["target"]["positions_m"] = [position]
             cfg = load_scenario(write_config(tmp_path, single, f"single{i}.json"))
-            rows_single.extend(run(cfg).rows)
+            rows_single.extend(records(run(cfg)))
 
         strip = lambda rows: sorted(
-            (r.x, r.y, float("-inf") if r.index is None else r.index,
-             r.quantity, r.value)
-            for r in rows
+            (x, y, float("-inf") if index is None else index, quantity, value)
+            for x, y, index, quantity, value in rows
         )
-        assert strip(table_both.rows) == strip(rows_single)
+        assert strip(records(table_both)) == strip(rows_single)
 
     def test_rows_come_in_export_order(self):
-        rows = run(load_preset("paper_fig4")).rows
-        assert list(rows) == sorted(rows, key=lambda r: (
-            r.x, r.y, r.quantity, r.index is not None, r.index or 0,
-        ))
+        rows = records(run(load_preset("paper_fig4")))
+        assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[3], r[2] is not None, r[2] or 0))
         raw = minimal_config(
             outputs=["array_factor"], array_factor={"spacings_wavelengths": [0.5, 0.1]}
         )
-        quantities = dict.fromkeys(r.quantity for r in run(parse_scenario(json.dumps(raw))).rows)
+        quantities = dict.fromkeys(r[3] for r in records(run(parse_scenario(json.dumps(raw)))))
         assert list(quantities) == ["array_factor_db[da=0.5lam]", "array_factor_db[da=0.1lam]"]
 
     @pytest.mark.parametrize("processing, budget, message, cli_exit", [
@@ -439,14 +542,15 @@ class TestRun:
             expected.append(mean_attenuation_from_snapshots(
                 uniform_weights(cfg.half_count), obs.empty, obs.occupied
             ))
-        assert [r.value for r in run(cfg).rows] == expected
+        assert run(cfg).rows.tolist() == expected
 
     def test_array_factor_output(self):
         table = run(load_preset("paper_fig3"))
-        half_lam = [r for r in table.rows if r.quantity == "array_factor_db[da=0.5lam]"]
-        assert len(half_lam) == 719
-        broadside = min(half_lam, key=lambda r: abs(r.index - 90.0))
-        assert broadside.value == pytest.approx(0.0, abs=1e-9)
+        half_lam = [b for b in table.blocks if b.quantity == "array_factor_db[da=0.5lam]"]
+        assert len(half_lam) == 1
+        assert half_lam[0].values.size == 719
+        broadside = half_lam[0].values[np.argmin(np.abs(half_lam[0].index - 90.0))]
+        assert broadside == pytest.approx(0.0, abs=1e-9)
 
 
 class TestExport:
@@ -520,6 +624,54 @@ class TestExport:
                 for p in paths
             }
             assert got == expected
+
+    def test_table_and_jsonl_export_stay_small(self, tmp_path):
+        # two positions at n_fft = 2**16 export 131,084 values: a table of numpy
+        # columns holds about 2 MB, and a writer that streams block by block adds
+        # less than one block's strings
+        raw = minimal_config(
+            outputs=["doa_spectrum", "per_antenna_attenuation", "mean_attenuation"],
+            processing={"n_fft": 2**16},
+        )
+        raw["target"]["positions_m"] = [[1.0, 0.0], [1.0, 0.25]]
+        config = parse_scenario(json.dumps(raw))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = run(config)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            export(table, "jsonl", tmp_path)
+            export_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table.rows) == 2 * (2**16 - 1 + 5 + 1)  # bins inside (0, 180) deg
+        assert held < 4e6
+        assert export_peak < 16e6
+
+    def test_jsonl_lines_spell_values_as_json_dumps(self, tmp_path):
+        # the writer assembles each line by hand; json.dumps of the record is the reference
+        values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 123456789012.0, 100.0, 0.1 + 0.2]
+        table = runner.ResultTable(
+            blocks=(
+                runner.Block("s", ("gamma_deg", "v"), "q", None, None, np.array(values), np.array(values)),
+                runner.Block("m", ("m",), "r", 1.0, -0.25, None, np.array([2.0])),
+                runner.Block("a", ("i",), "p", 1.0, 0.1, np.arange(-1, 2), np.array(values[:3])),
+            ),
+            config_hash="abc",
+            version="0.1.0",
+        )
+        nine = lambda v: float(format(v, ".9g"))
+        expected = [
+            json.dumps({
+                "config_hash": "abc", "version": "0.1.0", "x_m": x, "y_m": y,
+                "index": index if isinstance(index, (int, type(None))) else nine(index),
+                "quantity": quantity, "value": nine(value), "units": "dB",
+            })
+            for x, y, index, quantity, value in records(table)
+        ]
+        assert export(table, "jsonl", tmp_path)[0].read_text().splitlines() == expected
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
