@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (
+    MAX_STEP,
     QuadratureGrid,
     Scene,
     TargetSheet,
@@ -37,7 +38,7 @@ def field_ratio_vector(
 ) -> np.ndarray:
     """Field ratios E/E_ref of ``target`` at every antenna, ordered m = -M .. +M.
 
-    The grid defaults to ``discretize_sheet`` at level 0. The sheet
+    The grid defaults to ``discretize_sheet`` at its default step. The sheet
     discretization and the transmitter-side distances do not depend on the
     antenna, so they are computed once. Each antenna's node contributions
     are computed block by block into one array and summed whole, so the
@@ -83,37 +84,30 @@ def converged_field_ratio_vector(
     scene: Scene,
     target: TargetSheet,
     rel_tol: float = 1e-4,
-    halvings: int = 0,
-) -> tuple[np.ndarray, int]:
-    """Field ratios by Richardson-extrapolated grid refinement to rel_tol.
+    step: float = MAX_STEP,
+) -> tuple[np.ndarray, float]:
+    """Field ratios by halving the quadrature step until two solves agree to rel_tol.
 
-    Starts from the ``discretize_sheet`` grid at level ``halvings`` (default
-    0) and goes up one level at a time, which halves the cell side exactly.
-    At each new level k it forms ``R = (4 I(k) - I(k-1)) / 3`` from the
-    midpoint sums, which cancels the rule's O(h^2) error term, and stops once
-    the worst per-antenna relative change between two successive estimates is
-    below ``rel_tol``; returns that estimate and k. When the next grid would
-    exceed ``geometry.MAX_GRID_NODES``, raises ValueError giving the change
-    reached: between the last two estimates, or between the two midpoint
-    sums when the second estimate's grid is refused.
+    Solves on the ``discretize_sheet`` grid at ``step`` wavelengths, then
+    halves the step until the worst per-antenna relative change between two
+    successive solves is below ``rel_tol``; returns the finer solve and that
+    change, its error estimate. When the next grid would exceed
+    ``geometry.MAX_GRID_NODES``, raises ValueError giving the change reached
+    (inf when only one grid was solved).
     """
-    previous = field_ratio_vector(scene, target, discretize_sheet(target, scene, halvings))
-    estimate = None
-    change = np.inf  # one midpoint sum: nothing compared yet
+    coarse = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+    change = np.inf
     while True:
-        halvings += 1
+        step /= 2.0
         try:
-            grid = discretize_sheet(target, scene, halvings)
+            grid = discretize_sheet(target, scene, step)
         except ValueError as e:
             raise ValueError(
                 f"quadrature stopped at relative change {change:.3g} against "
                 f"rel_tol {rel_tol:g}: {e}"
             ) from e
-        refined = field_ratio_vector(scene, target, grid)
-        extrapolated = (4.0 * refined - previous) / 3.0
-        # until two estimates exist, the change between the two midpoint sums
-        new, old = (refined, previous) if estimate is None else (extrapolated, estimate)
-        change = np.max(np.abs(new - old) / np.maximum(np.abs(new), 1e-300))
-        if estimate is not None and change < rel_tol:
-            return extrapolated, halvings
-        previous, estimate = refined, extrapolated
+        fine = field_ratio_vector(scene, target, grid)
+        change = float(np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-300)))
+        if change < rel_tol:
+            return fine, change
+        coarse = fine

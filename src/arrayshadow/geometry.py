@@ -9,16 +9,17 @@ vertically from h - a_z to h + a_z.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-BASE_CELLS_PER_WAVELENGTH = 10  # level-0 sheet grid: cells of at most lambda/10
+MAX_STEP = 0.1  # wavelengths: the default and the largest quadrature node spacing
 # Largest quadrature grid built, refused before allocation: it admits the
-# 3.5M-node level-5 (lambda/320) desk grid, about 250 MB peak RSS, and refuses
-# the 14.1M-node level-6 one. The 1e-4 desk solve stops at level 2 (55,200).
+# 3.5M-node desk grid at step lambda/320, about 250 MB peak RSS, and refuses
+# the 14.0M-node one at lambda/640. The 1e-4 desk solve stops at lambda/20 (13,800).
 MAX_GRID_NODES = 10_000_000
 
 
@@ -119,53 +120,78 @@ def antenna_positions(scene: Scene) -> np.ndarray:
     return scene.tx + offsets
 
 
-def grid_cells(target: TargetSheet, scene: Scene, halvings: int = 0) -> tuple[int, int]:
-    """Cells (across, up) of the whole sheet at grid level ``halvings``.
+# Filled by the first solve at each order; a solve needs two orders per grid.
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    Raises ValueError when the ``across * ceil(up / 2)`` nodes that
+    Newton's method on the three-term recurrence finds the roots in [0, 1),
+    starting from the estimates cos(pi (k - 1/4) / (n + 1/2)); mirroring them
+    makes the nodes exactly odd and the weights exactly even about 0.
+    """
+    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))  # descending
+    x[n // 2:] = 0.0  # an odd order's middle root; Newton keeps it, as odd P_k vanish at 0
+    for _ in range(100):  # three or four iterations reach round-off at every order tried
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
+        if np.max(np.abs(p1 / slope), initial=0.0) < 1e-15:
+            break
+        x = x - p1 / slope
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    nodes = np.concatenate([-x[:n // 2], x[::-1]])
+    weights = np.concatenate([w[:n // 2], w[::-1]])
+    for a in (nodes, weights):
+        a.flags.writeable = False  # shared through the cache
+    return nodes, weights
+
+
+def grid_cells(target: TargetSheet, scene: Scene, step: float = MAX_STEP) -> tuple[int, int]:
+    """Gauss-Legendre orders (across, up) of the whole sheet at node spacing ``step``.
+
+    ``step`` is in wavelengths, in (0, MAX_STEP]; each axis of length 2a gets
+    ``ceil(2a / (step * lambda))`` nodes. Raises ValueError for any other
+    step, and when the ``across * ceil(up / 2)`` nodes that
     ``discretize_sheet`` builds would exceed ``MAX_GRID_NODES``.
     """
-    if halvings < 0 or int(halvings) != halvings:
-        raise ValueError("halvings must be a non-negative integer")
-    base_step = scene.wavelength / BASE_CELLS_PER_WAVELENGTH
-    with np.errstate(over="ignore"):  # level-0 counts times 2**halvings; inf is refused
-        ny, nz = (np.ldexp(np.ceil(2.0 * a / base_step), halvings)
-                  for a in (target.half_width, target.half_height))
+    if not 0.0 < step <= MAX_STEP:  # NaN fails too
+        raise ValueError(f"quadrature step must be in (0, {MAX_STEP}] wavelengths, got {step!r}")
+    spacing = np.float64(step) * scene.wavelength
+    with np.errstate(over="ignore", divide="ignore"):  # inf nodes are refused below
+        ny, nz = (np.ceil(2.0 * a / spacing) for a in (target.half_width, target.half_height))
         nodes = ny * np.ceil(nz / 2.0)
     if nodes > MAX_GRID_NODES:
         raise ValueError(
-            f"quadrature grid of {nodes:,.0f} nodes at level {halvings} exceeds "
+            f"quadrature grid of {nodes:,.0f} nodes at step {step:g} wavelengths exceeds "
             f"the budget of {MAX_GRID_NODES:,} nodes"
         )
     return int(ny), int(nz)
 
 
-def discretize_sheet(target: TargetSheet, scene: Scene, halvings: int = 0) -> QuadratureGrid:
-    """Uniform midpoint-rule grid on the (possibly rotated) sheet, folded about z = h.
+def discretize_sheet(target: TargetSheet, scene: Scene, step: float = MAX_STEP) -> QuadratureGrid:
+    """Tensor Gauss-Legendre rule on the (possibly rotated) sheet, folded about z = h.
 
-    Level 0 takes the fewest cells along each sheet axis whose side is at
-    most lambda/10; level ``halvings`` bisects every level-0 cell that many
-    times along both axes, so each level has exactly four times the cells of
-    the one before. Only the rows with z >= h are built, each at twice its
-    cell area, but the row at z = h of an odd row count keeps its own area;
-    the areas sum to the exact sheet area.
+    Each sheet axis of length 2a gets ``ceil(2a / (step * lambda))`` nodes
+    (``grid_cells``), so ``step`` is the mean node spacing in wavelengths.
+    Only the nodes with z >= h are built, each at twice its weight, but the
+    node at z = h of an odd order keeps its own weight; the weights sum to
+    the sheet area.
     """
-    ny, nz = grid_cells(target, scene, halvings)
+    ny, nz = grid_cells(target, scene, step)
     ay, az = target.half_width, target.half_height
-    dy, dz = 2.0 * ay / ny, 2.0 * az / nz
-    mids_y = (np.arange(ny) + 0.5) * dy - ay
+    u, wu = gauss_legendre(ny)
     # The TX, every antenna and the sheet centre share z = h, so r1 and r2 are
-    # even in z - h and each row below h adds what its mirror row above adds.
-    mids_z = ((np.arange(nz) + 0.5) * dz - az)[nz // 2:]
-    row_weights = np.full(len(mids_z), 2.0)
-    row_weights[0] -= nz % 2
+    # even in z - h and each node below h adds what its mirror node above adds.
+    v, wv = (a[nz // 2:] for a in gauss_legendre(nz))
+    wv = np.where(v > 0.0, 2.0 * wv, wv)  # an odd order's middle node v = 0 counts once
 
     theta = target.rotation
     in_plane = np.array([-np.sin(theta), np.cos(theta), 0.0])
     vertical = np.array([0.0, 0.0, 1.0])
     center = np.array([*target.barycenter, scene.link_height])
 
-    yy, zz = np.meshgrid(mids_y, mids_z, indexing="ij")
+    yy, zz = np.meshgrid(ay * u, az * v, indexing="ij")
     points = center + yy.reshape(-1, 1) * in_plane + zz.reshape(-1, 1) * vertical
-    areas = np.tile(row_weights * (dy * dz), ny)
+    areas = np.outer(ay * wu, az * wv).ravel()
     return QuadratureGrid(points=points, areas=areas)

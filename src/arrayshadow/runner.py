@@ -23,7 +23,7 @@ from . import __version__
 from .array_model import array_factor, planar_steering, uniform_weights
 from .em_model import excess_attenuation_db
 from .geometry import (
-    BASE_CELLS_PER_WAVELENGTH, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, grid_cells,
+    MAX_STEP, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, grid_cells,
 )
 from .sensing import (
     attenuation_spectrum_from_snapshots, mean_attenuation_from_snapshots, observe,
@@ -62,7 +62,7 @@ class ScenarioConfig:
     target_rotation: float
     positions: tuple[tuple[float, float], ...]
     n_fft: int
-    quadrature_halvings: int
+    quadrature_step: float  # wavelengths
     quadrature_rel_tol: float | None
     outputs: tuple[str, ...]
     array_factor_spacings: tuple[float, ...]
@@ -121,7 +121,6 @@ class ResultTable:
 
 
 _REQUIRED = object()
-_STEP_CAP = 1 / BASE_CELLS_PER_WAVELENGTH  # wavelengths: the level-0 grid's largest cell side
 
 # Every numeric key of the format, once: key -> (ScenarioConfig field,
 # default, integer, lower bound, upper bound). The default is _REQUIRED, None
@@ -138,8 +137,7 @@ _NUMBERS = {
     "target.half_height_m": ("target_half_height", None, False, 0.0, None),
     "target.rotation_deg": ("target_rotation", 0.0, False, None, None),  # radians once read
     "processing.n_fft": ("n_fft", 257, True, None, 2**20),  # >= the array size, checked below
-    "processing.quadrature_step_wavelengths":  # a grid level once read
-        ("quadrature_halvings", _STEP_CAP, False, 0.0, _STEP_CAP),
+    "processing.quadrature_step_wavelengths": ("quadrature_step", MAX_STEP, False, 0.0, MAX_STEP),
     "processing.quadrature_rel_tol": ("quadrature_rel_tol", None, False, 0.0, None),
     "array_factor.gamma_points": ("array_factor_points", 721, True, 3, 100_001),
 }
@@ -244,11 +242,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     fields["spacing"] *= wavelength
     if fields["spacing"] == math.inf:
         errors.append("scene.spacing_wavelengths is too large: the spacing overflows")
-    # the coarsest grid level k whose cells, lambda/10 * 2**-k, are no larger than the
-    # step; the slack keeps a log2 that lands just above a whole level on that level
-    step = fields["quadrature_halvings"]
-    level = math.log2(_STEP_CAP) - math.log2(step) if step > 0.0 else 0.0
-    fields["quadrature_halvings"] = math.ceil(level - 1e-9)
 
     # the sheet's rotated extent along the line of sight; NaN fails no check below
     reach = (fields["target_half_width"] or 0.0) * abs(math.sin(fields["target_rotation"]))
@@ -321,8 +314,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     )
     scene = config.scene()  # surfaces the spacing <= lambda/4 coupling warning
     if any(k != "array_factor" for k in outputs):  # then a sheet and positions are set
-        try:  # every position has the same sheet, so one check covers the start level
-            grid_cells(config.target_at(*positions[0]), scene, config.quadrature_halvings)
+        try:  # every position has the same sheet, so one check covers the start grid
+            grid_cells(config.target_at(*positions[0]), scene, config.quadrature_step)
         except ValueError as e:
             raise ScenarioError(f"{source}: invalid scenario\n  - processing: {e}") from e
     return config
@@ -343,7 +336,7 @@ def _position_blocks(config: ScenarioConfig, scene: Scene, xy: tuple[float, floa
     tag = _position_tag(x, y)
     try:
         obs = observe(
-            scene, config.target_at(x, y), config.quadrature_halvings, config.quadrature_rel_tol
+            scene, config.target_at(x, y), config.quadrature_step, config.quadrature_rel_tol
         )
 
         # quantities in name order, each by ascending index: the export order

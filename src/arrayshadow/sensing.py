@@ -15,7 +15,7 @@ import numpy as np
 
 from .array_model import nearfield_steering
 from .em_model import converged_field_ratio_vector, field_ratio_vector
-from .geometry import Scene, TargetSheet, discretize_sheet
+from .geometry import MAX_STEP, Scene, TargetSheet, discretize_sheet
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,20 @@ class Observation(NamedTuple):
 def observe(
     scene: Scene,
     target: TargetSheet,
-    halvings: int = 0,
+    step: float = MAX_STEP,
     rel_tol: float | None = None,
 ) -> Observation:
     """Solve the sheet integral once and form the empty and occupied snapshots.
 
     Without ``rel_tol`` the sheet is solved on the ``discretize_sheet`` grid
-    at level ``halvings`` (default 0, cells of at most lambda/10); with it
-    the level is raised from there until successive Richardson estimates
-    agree to ``rel_tol`` (``converged_field_ratio_vector``). Noiseless.
+    at node spacing ``step`` wavelengths (default lambda/10); with it the
+    step is halved from there until two successive solves agree to
+    ``rel_tol`` (``converged_field_ratio_vector``). Noiseless.
     """
     if rel_tol is not None:
-        ratios, _ = converged_field_ratio_vector(scene, target, rel_tol, halvings)
+        ratios, _ = converged_field_ratio_vector(scene, target, rel_tol, step)
     else:
-        ratios = field_ratio_vector(scene, target, discretize_sheet(target, scene, halvings))
+        ratios = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
     empty = boresight_steering(scene)
     return Observation(ratios, empty, empty * ratios)
 

@@ -46,6 +46,6 @@ def paper_scene() -> Scene:
 
 
 @pytest.fixture(scope="session")
-def converged_on_los() -> tuple[np.ndarray, int]:
-    """(ratios, halvings) of the 1e-4-converged on-LoS solve, run once (three grids, 72,450 nodes)."""
+def converged_on_los() -> tuple[np.ndarray, float]:
+    """(ratios, change) of the 1e-4-converged on-LoS solve, run once (two grids, 17,250 nodes)."""
     return converged_field_ratio_vector(make_paper_scene(), make_paper_target(), rel_tol=1e-4)

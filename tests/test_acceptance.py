@@ -242,7 +242,7 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
 
     target = make_paper_target(1.0, 0.0)
     converged, _ = converged_on_los
-    coarse = observe(scene, target, 4).ratios  # the lambda/160 grid
+    coarse = observe(scene, target, 0.1 / 16).ratios  # the lambda/160 grid
     grid_change = float(np.max(np.abs(converged - coarse) / np.abs(converged)))
     quad_ok = grid_change < 1e-4
 

@@ -16,7 +16,7 @@ from arrayshadow import (
     excess_attenuation_db,
     field_ratio_vector,
 )
-from arrayshadow.geometry import grid_cells
+from arrayshadow.geometry import gauss_legendre, grid_cells
 from arrayshadow.oracles import dense_quadrature_field_ratio, free_space_ratio_vector
 from conftest import CARRIER_HZ, WAVELENGTH, make_paper_scene, make_paper_target
 
@@ -135,36 +135,44 @@ class TestExcessAttenuation:
 
 
 class TestQuadratureConvergence:
-    def test_step_halving_change_is_small(self, paper_scene):
-        target = make_paper_target()
-        coarse = field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, 2))
-        fine = field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, 3))
-        change = np.max(np.abs(fine - coarse) / np.abs(fine))
-        assert change < 5e-4
+    @pytest.mark.parametrize("half_count", [2, 8])
+    @pytest.mark.parametrize("x, y, rotation_deg", [
+        (0.5, -0.4, -30.0), (1.0, 0.0, 0.0), (2.0, 0.3, 30.0), (3.5, -0.1, 30.0),
+    ])
+    def test_default_step_agrees_with_a_quarter_step(self, half_count, x, y, rotation_deg):
+        # a midpoint rule at these node counts differs by about 1.6e-2
+        scene = make_paper_scene(half_count)
+        target = make_paper_target(x, y, np.radians(rotation_deg))
+        default, quarter = (
+            field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+            for step in (0.1, 0.025)
+        )
+        assert_allclose(default, quarter, rtol=1e-10)
 
-    def test_start_level_is_where_refinement_begins(self, paper_scene, monkeypatch):
-        levels = []
+    def test_start_step_is_where_refinement_begins(self, paper_scene, monkeypatch):
+        steps = []
 
-        def recording_discretize_sheet(target, scene, halvings):
-            levels.append(halvings)
-            return discretize_sheet(target, scene, halvings)
+        def recording_discretize_sheet(target, scene, step):
+            steps.append(step)
+            return discretize_sheet(target, scene, step)
 
         monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
-        _, k = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4, halvings=1)
-        assert levels == list(range(1, k + 1)) and k >= 3
+        converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4, step=0.05)
+        assert steps == [0.05, 0.025]
 
-    def test_returned_level_reproduces_the_estimate(self, paper_scene, converged_on_los):
-        ratios, k = converged_on_los
-        assert k == 2
+    def test_returned_change_is_that_of_the_last_two_solves(self, paper_scene, converged_on_los):
+        ratios, change = converged_on_los
         target = make_paper_target()
-        fine, coarse = (
-            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, level))
-            for level in (k, k - 1)
+        coarse, fine = (
+            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, step))
+            for step in (0.1, 0.05)
         )
-        assert_allclose((4.0 * fine - coarse) / 3.0, ratios, rtol=1e-12)
+        assert np.array_equal(ratios, fine)
+        assert change == np.max(np.abs(fine - coarse) / np.abs(fine))
+        assert change < 1e-10
 
-    def test_on_los_solve_stops_after_three_grids(self, paper_scene, monkeypatch):
+    def test_on_los_solve_stops_after_two_grids(self, paper_scene, monkeypatch):
         nodes = []
 
         def counting_discretize_sheet(*args):
@@ -173,18 +181,14 @@ class TestQuadratureConvergence:
             return grid
 
         monkeypatch.setattr(em_model, "discretize_sheet", counting_discretize_sheet)
-        _, k = converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
-        assert k == 2
-        assert nodes == [3_450, 13_800, 55_200]  # counts double exactly along both axes
+        converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
+        assert nodes == [3_450, 13_800]  # 46 x 150 and 92 x 299 nodes, folded
 
     def test_meets_tolerance_against_a_finer_estimate(self, paper_scene):
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
         ratios, _ = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4)
-        fine, half = (
-            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, k))
-            for k in (5, 4)
-        )
-        assert_allclose(ratios, (4.0 * fine - half) / 3.0, rtol=1e-5)
+        grid = discretize_sheet(target, paper_scene, 0.1 / 32)
+        assert_allclose(ratios, field_ratio_vector(paper_scene, target, grid), rtol=1e-5)
 
     def test_agrees_with_dense_oracle_on_desk_geometries(self, paper_scene, converged_on_los):
         for y in (-0.25, 0.0, 0.25):
@@ -209,22 +213,21 @@ SHEETS = dict(
 )
 
 
-def full_midpoint_grid(scene: Scene, target: TargetSheet) -> QuadratureGrid:
-    """The level-0 midpoint grid over the whole sheet, below the link plane too."""
+def full_gauss_legendre_grid(scene: Scene, target: TargetSheet) -> QuadratureGrid:
+    """The default-step Gauss-Legendre grid over the whole sheet, below the link plane too."""
     ny, nz = grid_cells(target, scene)
     ay, az = target.half_width, target.half_height
-    u = (np.arange(ny) + 0.5) * (2.0 * ay / ny) - ay
-    v = (np.arange(nz) + 0.5) * (2.0 * az / nz) - az
-    uu, vv = (a.ravel() for a in np.meshgrid(u, v, indexing="ij"))
+    (u, wu), (v, wv) = gauss_legendre(ny), gauss_legendre(nz)
+    uu, vv = (a.ravel() for a in np.meshgrid(ay * u, az * v, indexing="ij"))
     (x, y), theta = target.barycenter, target.rotation
     points = np.column_stack(
         [x - uu * np.sin(theta), y + uu * np.cos(theta), scene.link_height + vv]
     )
-    return QuadratureGrid(points=points, areas=np.full(ny * nz, 4.0 * ay * az / (ny * nz)))
+    return QuadratureGrid(points=points, areas=np.outer(ay * wu, az * wv).ravel())
 
 
 def scaled_solve(scale, x, y, theta, half_width, half_height, half_count):
-    """Level-0 field ratios of a desk link with every length and the wavelength times scale."""
+    """Default-step field ratios of a desk link with every length and the wavelength times scale."""
     scene = Scene(
         CARRIER_HZ / scale,
         ArraySpec(half_count, scale * WAVELENGTH / 2.0, scale * 4.0),
@@ -238,7 +241,7 @@ class TestPhysicsInvariants:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(scale=st.floats(0.25, 4.0), **SHEETS)
     def test_scaling_lengths_with_the_wavelength_leaves_ratios(self, scale, **sheet):
-        # the cell counts depend only on the sheet size in wavelengths; the ratios are
+        # the node counts depend only on the sheet size in wavelengths; the ratios are
         # relative to the free-space field, so atol is 1e-12 of the unblocked field
         assert_allclose(
             scaled_solve(scale, **sheet), scaled_solve(1.0, **sheet), rtol=1e-12, atol=1e-12
@@ -253,17 +256,24 @@ class TestPhysicsInvariants:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("parity", [0, 1])
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(link_height=st.floats(0.0, 2.0), **SHEETS)
+    @given(
+        link_height=st.floats(0.0, 2.0),
+        half_rows=st.integers(2, 33),
+        **{k: v for k, v in SHEETS.items() if k != "half_height"},
+    )
     def test_folded_grid_matches_the_full_sheet(
-        self, link_height, x, y, theta, half_width, half_height, half_count
+        self, parity, link_height, half_rows, x, y, theta, half_width, half_count
     ):
-        # the drawn half-heights give both odd and even level-0 row counts
+        # the half-height is set so that the vertical order is 2 * half_rows + parity
+        half_height = (2 * half_rows + parity - 0.5) * 0.1 * WAVELENGTH / 2.0
         scene = Scene(CARRIER_HZ, ArraySpec(half_count, WAVELENGTH / 2.0, 4.0), link_height)
         target = TargetSheet((x, y), half_width, half_height, theta)
+        assert grid_cells(target, scene)[1] % 2 == parity
         assert_allclose(
             field_ratio_vector(scene, target),
-            field_ratio_vector(scene, target, full_midpoint_grid(scene, target)),
+            field_ratio_vector(scene, target, full_gauss_legendre_grid(scene, target)),
             rtol=1e-12,
         )
 

@@ -43,31 +43,37 @@ class TestAntennaPositions:
         assert_allclose(pos[:, 2], 0.9)
 
 
+# The four-point Gauss-Legendre rule on [-1, 1], in closed form.
+GL4_NODES = np.sqrt(3.0 / 7.0 + np.array([-2.0, 2.0]) / 7.0 * np.sqrt(6.0 / 5.0))
+GL4_WEIGHTS = (18.0 + np.array([1.0, -1.0]) * np.sqrt(30.0)) / 36.0
+
+
 class TestDiscretizeSheet:
-    def test_exact_tiling(self):
-        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0))  # 3 m wavelength: 0.3 m level-0 cap
+    def test_four_point_rule_on_each_axis(self):
+        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0))  # 3 m wavelength: nodes 0.3 m apart on average
         target = TargetSheet((1.0, 0.0), 0.5, 0.5)
+        assert grid_cells(target, scene) == (4, 4)
         grid = discretize_sheet(target, scene)
-        # 4 x 4 cells of 0.0625; the 2 rows above the link plane are built at twice the area
+        # the 2 nodes above the link plane are built at twice their weight
         assert grid.points.shape == (8, 3)
-        assert_allclose(grid.areas, 0.125)
-        assert_allclose(np.unique(grid.points[:, 2]), [0.125, 0.375])
+        assert_allclose(np.unique(grid.points[:, 2]), 0.5 * GL4_NODES, rtol=1e-14)
+        across = 0.5 * np.concatenate([GL4_WEIGHTS[::-1], GL4_WEIGHTS])
+        assert_allclose(grid.areas, np.outer(across, 2.0 * 0.5 * GL4_WEIGHTS).ravel(), rtol=1e-14)
 
     def test_paper_grid_shape_and_area(self, paper_scene):
-        grid = discretize_sheet(make_paper_target(), paper_scene, 0)
-        assert grid.points.shape[0] == 46 * 75  # 150 rows, folded
+        grid = discretize_sheet(make_paper_target(), paper_scene, 0.1)
+        assert grid.points.shape[0] == 46 * 75  # 150 nodes up the sheet, folded
         assert grid.areas.sum() == pytest.approx(0.99, rel=1e-12)
 
-    def test_each_level_doubles_the_cells_along_both_axes(self, paper_scene):
-        target = make_paper_target(1.0, 0.3)  # unrotated: y and z are the sheet axes
-        grids = [discretize_sheet(target, paper_scene, k) for k in range(3)]
-        assert [len(g.areas) for g in grids] == [3_450, 13_800, 55_200]
-        for coarse, fine in zip(grids, grids[1:]):
-            assert_allclose(fine.areas, coarse.areas[0] / 4.0, rtol=1e-12)
-            for axis in (1, 2):
-                # each coarse midpoint is the mean of the two fine midpoints bisecting its cell
-                pairs = np.unique(fine.points[:, axis]).reshape(-1, 2).mean(axis=1)
-                assert_allclose(pairs, np.unique(coarse.points[:, axis]), rtol=0, atol=1e-12)
+    def test_halving_the_step_about_doubles_the_orders(self, paper_scene):
+        target = make_paper_target(1.0, 0.3)
+        steps = (0.1, 0.05, 0.025)
+        assert [grid_cells(target, paper_scene, s) for s in steps] == [
+            (46, 150), (92, 299), (183, 598),
+        ]
+        assert [len(discretize_sheet(target, paper_scene, s).areas) for s in steps] == [
+            3_450, 13_800, 54_717,
+        ]
 
     def test_area_sum_exact(self, paper_scene):
         rng = np.random.default_rng(7)
@@ -77,21 +83,44 @@ class TestDiscretizeSheet:
             grid = discretize_sheet(target, paper_scene)
             assert grid.areas.sum() == pytest.approx(4 * ay * az, rel=1e-12)
             ny, nz = grid_cells(target, paper_scene)
-            assert len(grid.areas) == ny * -(-nz // 2)  # the rows at or above the link plane
+            assert len(grid.areas) == ny * -(-nz // 2)  # the nodes at or above the link plane
 
-    def test_odd_row_count_keeps_the_middle_row_once(self):
-        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0), link_height=1.0)  # 0.3 m level-0 cap
-        target = TargetSheet((1.0, 0.0), 0.5, 0.3)  # 4 x 3 cells of 0.25 x 0.2 m
+    @pytest.mark.parametrize("half_width, half_height", [(0.5, 0.5), (0.3, 0.45), (0.8, 0.3)])
+    def test_rule_integrates_the_top_even_degree_exactly(self, half_width, half_height):
+        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0), link_height=0.7)  # 0.3 m mean node spacing
+        target = TargetSheet((1.5, -0.2), half_width, half_height, rotation=0.4)
+        ny, nz = grid_cells(target, scene)
+        grid = discretize_sheet(target, scene)
+        offsets = grid.points - [1.5, -0.2, 0.7]
+        y = offsets @ [-np.sin(0.4), np.cos(0.4), 0.0]  # along the sheet's in-plane axis
+        z = offsets[:, 2]
+        assert grid.areas.sum() == pytest.approx(4.0 * half_width * half_height, rel=1e-13)
+        # degree 2n - 2 is the highest even degree an n-point rule integrates exactly
+        exact = (2.0 * half_width ** (2 * ny - 1) / (2 * ny - 1)
+                 * 2.0 * half_height ** (2 * nz - 1) / (2 * nz - 1))
+        integral = np.sum(grid.areas * y ** (2 * ny - 2) * z ** (2 * nz - 2))
+        assert integral == pytest.approx(exact, rel=1e-12)
+
+    def test_odd_order_keeps_the_middle_node_once(self):
+        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0), link_height=1.0)
+        target = TargetSheet((1.0, 0.0), 0.5, 0.3)  # 4 x 3 nodes
+        assert grid_cells(target, scene) == (4, 3)
         grid = discretize_sheet(target, scene)
         assert grid.points.shape == (8, 3)
-        assert_allclose(grid.points[:, 2].reshape(4, 2), [[1.0, 1.2]] * 4, rtol=0, atol=1e-12)
-        assert_allclose(grid.areas.reshape(4, 2), [[0.05, 0.1]] * 4, rtol=1e-12)
+        # the three-point rule: nodes 0 and +-sqrt(3/5), weights 8/9 and 5/9
+        up = 1.0 + 0.3 * np.array([0.0, np.sqrt(0.6)])
+        assert_allclose(grid.points[:, 2].reshape(4, 2), [up] * 4, rtol=1e-14)
+        across = 0.5 * np.concatenate([GL4_WEIGHTS[::-1], GL4_WEIGHTS])
+        assert_allclose(grid.areas, np.outer(across, 0.3 * np.array([8 / 9, 10 / 9])).ravel(),
+                        rtol=1e-14)
 
-    def test_step_never_exceeds_cap(self, paper_scene):
-        for k in (0, 1, 3):
-            grid = discretize_sheet(make_paper_target(), paper_scene, k)
-            cell_sides = [np.diff(np.unique(grid.points[:, axis]))[0] for axis in (1, 2)]
-            assert max(cell_sides) <= WAVELENGTH / 10 / 2**k
+    def test_mean_node_spacing_never_exceeds_the_step(self, paper_scene):
+        target = make_paper_target()
+        for step in (0.1, 0.05, 0.0125, 0.03):
+            ny, nz = grid_cells(target, paper_scene, step)
+            spacing = step * WAVELENGTH
+            assert 2 * 0.275 / ny <= spacing < 2 * 0.275 / (ny - 1)
+            assert 2 * 0.9 / nz <= spacing < 2 * 0.9 / (nz - 1)
 
     def test_right_angle_rotation_contains_los_direction(self, paper_scene):
         target = make_paper_target(1.0, 0.4, rotation=np.pi / 2)
@@ -109,10 +138,13 @@ class TestDiscretizeSheet:
         offsets = (grid.points - center) @ normal
         assert_allclose(offsets, 0.0, atol=1e-12)
 
-    def test_bad_halvings_rejected(self, paper_scene):
-        for halvings in (-1, 0.5):
-            with pytest.raises(ValueError, match="halvings"):
-                discretize_sheet(make_paper_target(), paper_scene, halvings)
+    @pytest.mark.parametrize("step", [0.0, -0.05, 0.1000001, np.inf, np.nan])
+    def test_step_outside_zero_to_a_tenth_wavelength_rejected(self, paper_scene, step):
+        target = make_paper_target()
+        with pytest.raises(ValueError, match=r"step must be in \(0, 0.1\]"):
+            grid_cells(target, paper_scene, step)
+        with pytest.raises(ValueError, match="step"):
+            discretize_sheet(target, paper_scene, step)
 
 
 class TestFrameProperties:

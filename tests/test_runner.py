@@ -52,7 +52,7 @@ JSON_VALUES = st.recursive(
 
 
 # a valid value for every numeric key, in ranges around minimal_config that keep each
-# run cheap: at most nine antennas, and fixed grids of at most 15,402 nodes (level 1)
+# run cheap: at most nine antennas, and fixed grids of at most 15,251 nodes (step lambda/20)
 VALID_NUMBERS = {
     "scene.carrier_frequency_hz": st.floats(1e9, 2.5e9),
     "scene.central_distance_m": st.floats(2.0, 8.0),
@@ -123,7 +123,7 @@ class TestLoadScenario:
         cfg = load_scenario(write_config(tmp_path, minimal_config()))
         assert cfg.n_fft == 257
         assert cfg.target_rotation == 0.0
-        assert cfg.quadrature_halvings == 0
+        assert cfg.quadrature_step == 0.1
 
     def test_coupling_warning_at_fifth_wavelength(self, tmp_path):
         raw = minimal_config()
@@ -369,11 +369,11 @@ class TestLoadScenario:
         assert "error" in capsys.readouterr().err
 
     def test_quadrature_step_capped_at_a_tenth_wavelength(self, tmp_path, capsys):
-        # the cap is in wavelengths, so 0.1 is level 0 at every carrier
+        # the cap is in wavelengths, so 0.1 is accepted at every carrier
         for fc in (2.4868e9, 3e9, 5.8e9):
             raw = minimal_config(processing={"quadrature_step_wavelengths": 0.1})
             raw["scene"]["carrier_frequency_hz"] = fc
-            assert parse_scenario(json.dumps(raw)).quadrature_halvings == 0
+            assert parse_scenario(json.dumps(raw)).quadrature_step == 0.1
         for step in (0.5, 0.41, 0.1000001):  # 0.41 wavelengths is about 0.05 m
             raw = minimal_config(processing={"quadrature_step_wavelengths": step})
             message = "quadrature_step_wavelengths must be a number <= 0.1"
@@ -382,19 +382,19 @@ class TestLoadScenario:
             assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
             assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("processing, halvings", [
-        ({}, 0),
-        ({"quadrature_step_wavelengths": 0.05}, 1),
-        ({"quadrature_step_wavelengths": 0.04}, 2),
-        ({"quadrature_step_wavelengths": 0.1 / 32}, 5),
+    @pytest.mark.parametrize("processing, step", [
+        ({}, 0.1),
+        ({"quadrature_step_wavelengths": 0.05}, 0.05),
+        ({"quadrature_step_wavelengths": 0.04}, 0.04),
+        ({"quadrature_step_wavelengths": 0.1 / 32}, 0.1 / 32),
     ])
-    def test_quadrature_step_resolves_to_the_coarsest_finer_level(self, processing, halvings):
+    def test_quadrature_step_is_kept_as_parsed(self, processing, step):
         raw = minimal_config(processing=processing)
-        assert parse_scenario(json.dumps(raw)).quadrature_halvings == halvings
+        assert parse_scenario(json.dumps(raw)).quadrature_step == step
 
     @pytest.mark.parametrize("step, refused", [  # in wavelengths: 1e-4 m and 1e-320 m
-        (8.3e-4, "56,524,800 nodes at level 7"),
-        (8.3e-320, "inf nodes at level 1057"),
+        (8.3e-4, "49,445,515 nodes at step 0.00083 wavelengths"),
+        (8.3e-320, "inf nodes at step 8.29981e-320 wavelengths"),  # read as a subnormal
     ])
     def test_fixed_grid_over_the_node_budget_is_a_validation_error(
         self, tmp_path, capsys, step, refused
@@ -510,16 +510,16 @@ class TestRun:
         assert list(quantities) == ["array_factor_db[da=0.5lam]", "array_factor_db[da=0.1lam]"]
 
     @pytest.mark.parametrize("processing, budget, message, cli_exit", [
-        # the CLI parses under the same budget, which refuses the start level: exit 1
+        # the CLI parses under the same budget, which refuses the start grid: exit 1
         ({}, 1_000, "exceeds the budget", 1),
-        # two midpoint sums fit, the second estimate's grid does not: a finite change
-        ({"quadrature_rel_tol": 1e-4}, 30_000,
-         r"relative change \d[\d.e+-]* against rel_tol 0.0001", 2),
+        # two grids fit and agree to about 5e-14, short of rel_tol; the third does not
+        ({"quadrature_rel_tol": 1e-16}, 30_000,
+         r"relative change \d[\d.e+-]* against rel_tol 1e-16", 2),
     ], ids=["fixed_grid", "converged"])
     def test_node_budget_fails_cleanly(
         self, tmp_path, capsys, monkeypatch, processing, budget, message, cli_exit
     ):
-        # folded desk grids: lambda/10: 3,450 nodes; lambda/20: 13,800; lambda/40: 55,200
+        # folded desk grids: lambda/10: 3,450 nodes; lambda/20: 13,800; lambda/40: 54,717
         path = write_config(tmp_path, minimal_config(processing=processing))
         config = load_scenario(path)
         monkeypatch.setattr(geometry, "MAX_GRID_NODES", budget)  # after the parse-time check
@@ -533,7 +533,7 @@ class TestRun:
         scene = cfg.scene()
         expected = []
         for x, y in sorted(cfg.positions):
-            obs = observe(scene, cfg.target_at(x, y), cfg.quadrature_halvings)
+            obs = observe(scene, cfg.target_at(x, y), cfg.quadrature_step)
             spectrum = attenuation_spectrum_from_snapshots(
                 obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, cfg.n_fft
             )
@@ -745,14 +745,23 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[1:] == ["0,6.02059991"]
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        absent = "{'scipy', 'arrayshadow.oracles', 'concurrent.futures'}"
-        code = f"import sys, arrayshadow.cli; print(sorted({absent} & set(sys.modules)))"
+        # nor does parsing build a quadrature rule: the first solve fills the cache
+        absent = "{'scipy', 'arrayshadow.oracles', 'concurrent.futures', 'numpy.polynomial'}"
+        code = (
+            "import sys, arrayshadow.cli\n"
+            f"print(sorted({absent} & set(sys.modules)))\n"
+            "from arrayshadow.geometry import gauss_legendre\n"
+            "from arrayshadow.presets import PRESET_NAMES, load_preset\n"
+            "for name in PRESET_NAMES:\n"
+            "    load_preset(name)\n"
+            f"print(sorted({absent} & set(sys.modules)), gauss_legendre.cache_info().currsize)\n"
+        )
         src = str(Path(geometry.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines() == ["[]", "[] 0"]
 
     def test_oracle_without_scipy_names_the_extra(self):
         code = (

@@ -36,11 +36,11 @@ class TestSnapshot:
 
     def test_fixed_step_and_converged_quadrature(self, paper_scene):
         target = make_paper_target(1.0, 0.4)
-        fixed = observe(paper_scene, target, 1)
-        grid = discretize_sheet(target, paper_scene, 1)
+        fixed = observe(paper_scene, target, 0.05)
+        grid = discretize_sheet(target, paper_scene, 0.05)
         assert np.array_equal(fixed.ratios, field_ratio_vector(paper_scene, target, grid))
         assert np.array_equal(fixed.occupied, fixed.empty * fixed.ratios)
-        converged = observe(paper_scene, target, 1, rel_tol=1e-2)
+        converged = observe(paper_scene, target, 0.05, rel_tol=1e-2)
         assert not np.array_equal(converged.ratios, fixed.ratios)
         assert_allclose(converged.ratios, fixed.ratios, rtol=1e-2)
 
