@@ -7,9 +7,10 @@ The perturbed-over-reference field ratio at antenna m is
 
 with r1, r2 the cell distances to the transmitter and to antenna m. The
 sheet absorbs everything that hits it and re-radiates nothing. All sums
-run at double precision; node contributions are accumulated with numpy's
-pairwise summation. Every solver takes a sheet: an empty scene needs no
-solve, its ratio is exactly 1 at every antenna.
+run at double precision; the real and imaginary parts of the node
+contributions are each accumulated with numpy's pairwise summation. Every
+solver takes a sheet: an empty scene needs no solve, its ratio is exactly 1
+at every antenna.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ _MIN_CLEARANCE = 1e-9  # m; below this a grid node sits on an antenna
 _BLOCK_NODES = 4096
 
 
+def _distances(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``points`` from ``origin``.
+
+    One coordinate column at a time: numpy loops over an (N, 3) - (3,)
+    difference, and a norm along its short axis, row by row, several times
+    slower. The sum runs x, y, z in order, as ``np.linalg.norm`` sums them.
+    """
+    dx, dy, dz = (points[:, j] - origin[j] for j in range(3))
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def field_ratio_vector(
     scene: Scene,
     target: TargetSheet,
@@ -40,9 +52,11 @@ def field_ratio_vector(
 
     The grid defaults to ``discretize_sheet`` at its default step. The sheet
     discretization and the transmitter-side distances do not depend on the
-    antenna, so they are computed once. Each antenna's node contributions
-    are computed block by block into one array and summed whole, so the
-    result does not depend on the block size.
+    antenna, so they are computed once. Each antenna's node terms
+    w cos(phase) and w sin(phase), with w = dS / (r1 r2) and
+    exp(-j phase) = cos(phase) - j sin(phase), are computed block by block
+    into two arrays and each is summed whole, so the result does not depend
+    on the block size.
     """
     if grid is None:
         grid = discretize_sheet(target, scene)
@@ -51,7 +65,7 @@ def field_ratio_vector(
     blocks = [slice(start, start + _BLOCK_NODES) for start in range(0, len(areas), _BLOCK_NODES)]
     r1 = np.empty(len(areas))
     for b in blocks:
-        r1[b] = np.linalg.norm(points[b] - scene.tx, axis=1)
+        r1[b] = _distances(points[b], scene.tx)
     if r1.min() < _MIN_CLEARANCE:
         raise ValueError("target intersects antenna")
     k = 2.0 * np.pi / scene.wavelength
@@ -59,14 +73,19 @@ def field_ratio_vector(
     dm_all = np.linalg.norm(rx_all - scene.tx, axis=1)
 
     out = np.empty(len(rx_all), dtype=complex)
-    contributions = np.empty(len(areas), dtype=complex)
+    real, imag = np.empty(len(areas)), np.empty(len(areas))
     for i in range(len(rx_all)):
         for b in blocks:
-            r2 = np.linalg.norm(points[b] - rx_all[i], axis=1)
+            r2 = _distances(points[b], rx_all[i])
             if r2.min() < _MIN_CLEARANCE:
                 raise ValueError("target intersects antenna")
-            contributions[b] = np.exp(-1j * k * (r1[b] + r2 - dm_all[i])) / (r1[b] * r2) * areas[b]
-        out[i] = 1.0 - 1j * (dm_all[i] / scene.wavelength) * np.sum(contributions)
+            w = areas[b] / (r1[b] * r2)
+            phase = k * (r1[b] + r2 - dm_all[i])
+            np.multiply(w, np.cos(phase), out=real[b])
+            np.multiply(w, np.sin(phase), out=imag[b])
+        # 1 - j c (S_cos - j S_sin) with c = d_m / lambda
+        c = dm_all[i] / scene.wavelength
+        out[i] = complex(1.0 - c * np.sum(imag), -c * np.sum(real))
     return out
 
 
@@ -86,19 +105,24 @@ def converged_field_ratio_vector(
     rel_tol: float = 1e-4,
     step: float = MAX_STEP,
 ) -> tuple[np.ndarray, float]:
-    """Field ratios by halving the quadrature step until two solves agree to rel_tol.
+    """Field ratios on the ``step`` grid, checked against a solve at twice the step.
 
-    Solves on the ``discretize_sheet`` grid at ``step`` wavelengths, then
+    Solves on the ``discretize_sheet`` grids at ``2 * step`` and at ``step``
+    wavelengths (about half and the full Gauss-Legendre order per axis), and
     halves the step until the worst per-antenna relative change between two
-    successive solves is below ``rel_tol``; returns the finer solve and that
-    change, its error estimate. When the next grid would exceed
-    ``geometry.MAX_GRID_NODES``, raises ValueError giving the change reached
-    (inf when only one grid was solved).
+    successive solves is below ``rel_tol``. Returns the finer solve and that
+    change: the coarser solve's error, a conservative estimate of the finer
+    one's. When the first check passes, the ratios are exactly those of the
+    fixed-step solve at ``step``. Raises ValueError for a step outside
+    (0, MAX_STEP], and when the next grid would exceed
+    ``geometry.MAX_GRID_NODES`` or ``geometry.MAX_ORDER``, giving the change
+    reached (inf when only one grid was solved).
     """
-    coarse = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+    if not 0.0 < step <= MAX_STEP:  # NaN fails too
+        raise ValueError(f"quadrature step must be in (0, {MAX_STEP}] wavelengths, got {step!r}")
+    coarse = field_ratio_vector(scene, target, discretize_sheet(target, scene, 2.0 * step))
     change = np.inf
     while True:
-        step /= 2.0
         try:
             grid = discretize_sheet(target, scene, step)
         except ValueError as e:
@@ -111,3 +135,4 @@ def converged_field_ratio_vector(
         if change < rel_tol:
             return fine, change
         coarse = fine
+        step /= 2.0

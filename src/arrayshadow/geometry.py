@@ -16,11 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-MAX_STEP = 0.1  # wavelengths: the default and the largest quadrature node spacing
+# Wavelengths: the default quadrature node spacing and the largest a scenario or
+# solve may ask for. Grids are built up to twice it, for the coarse check of
+# em_model.converged_field_ratio_vector.
+MAX_STEP = 0.1
 # Largest quadrature grid built, refused before allocation: it admits the
 # 3.5M-node desk grid at step lambda/320, about 250 MB peak RSS, and refuses
-# the 14.0M-node one at lambda/640. The 1e-4 desk solve stops at lambda/20 (13,800).
+# the 14.0M-node one at lambda/640. The 1e-4 desk solve builds the grids at
+# lambda/5 and lambda/10 (874 + 3,450 nodes).
 MAX_GRID_NODES = 10_000_000
+# Largest Gauss-Legendre order along one sheet axis, refused before the rule is
+# built: the rule costs O(n^2), about 0.9 s at 10,000. It admits the
+# knife_edge_validation grid (1,222 x 1,153) and the desk grid at lambda/320
+# (1,460 x 4,778).
+MAX_ORDER = 10_000
 
 
 @dataclass(frozen=True)
@@ -150,13 +159,16 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def grid_cells(target: TargetSheet, scene: Scene, step: float = MAX_STEP) -> tuple[int, int]:
     """Gauss-Legendre orders (across, up) of the whole sheet at node spacing ``step``.
 
-    ``step`` is in wavelengths, in (0, MAX_STEP]; each axis of length 2a gets
-    ``ceil(2a / (step * lambda))`` nodes. Raises ValueError for any other
-    step, and when the ``across * ceil(up / 2)`` nodes that
-    ``discretize_sheet`` builds would exceed ``MAX_GRID_NODES``.
+    ``step`` is in wavelengths, in (0, 2 * MAX_STEP]; each axis of length 2a
+    gets ``ceil(2a / (step * lambda))`` nodes. Raises ValueError for any other
+    step, when the ``across * ceil(up / 2)`` nodes that ``discretize_sheet``
+    builds would exceed ``MAX_GRID_NODES``, and when either order exceeds
+    ``MAX_ORDER``.
     """
-    if not 0.0 < step <= MAX_STEP:  # NaN fails too
-        raise ValueError(f"quadrature step must be in (0, {MAX_STEP}] wavelengths, got {step!r}")
+    if not 0.0 < step <= 2 * MAX_STEP:  # NaN fails too
+        raise ValueError(
+            f"quadrature step must be in (0, {2 * MAX_STEP:g}] wavelengths, got {step!r}"
+        )
     spacing = np.float64(step) * scene.wavelength
     with np.errstate(over="ignore", divide="ignore"):  # inf nodes are refused below
         ny, nz = (np.ceil(2.0 * a / spacing) for a in (target.half_width, target.half_height))
@@ -165,6 +177,11 @@ def grid_cells(target: TargetSheet, scene: Scene, step: float = MAX_STEP) -> tup
         raise ValueError(
             f"quadrature grid of {nodes:,.0f} nodes at step {step:g} wavelengths exceeds "
             f"the budget of {MAX_GRID_NODES:,} nodes"
+        )
+    if max(ny, nz) > MAX_ORDER:
+        raise ValueError(
+            f"quadrature order {max(ny, nz):,.0f} along the sheet at step {step:g} wavelengths "
+            f"exceeds the cap of {MAX_ORDER:,} nodes per axis"
         )
     return int(ny), int(nz)
 

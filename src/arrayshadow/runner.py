@@ -26,7 +26,7 @@ from .geometry import (
     MAX_STEP, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, grid_cells,
 )
 from .sensing import (
-    attenuation_spectrum_from_snapshots, mean_attenuation_from_snapshots, observe,
+    attenuation_spectrum_from_snapshots, doa_grid, mean_attenuation_from_snapshots, observe,
 )
 
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
@@ -331,7 +331,10 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(text, source=str(path))
 
 
-def _position_blocks(config: ScenarioConfig, scene: Scene, xy: tuple[float, float]) -> list[Block]:
+def _position_blocks(
+    config: ScenarioConfig, scene: Scene, gamma_deg: np.ndarray | None, xy: tuple[float, float]
+) -> list[Block]:
+    """The blocks of one position; ``gamma_deg`` is the run's DoA grid, shared read-only."""
     x, y = xy
     tag = _position_tag(x, y)
     try:
@@ -347,7 +350,7 @@ def _position_blocks(config: ScenarioConfig, scene: Scene, xy: tuple[float, floa
             )
             blocks.append(Block(f"doa_spectrum_{tag}", ("gamma_deg", "excess_attenuation_db"),
                                 "doa_excess_attenuation_db", x, y,
-                                np.degrees(spectrum.gamma_grid), spectrum.excess_attenuation_db))
+                                gamma_deg, spectrum.excess_attenuation_db))
         if "per_antenna_attenuation" in config.outputs:
             blocks.append(Block(f"per_antenna_{tag}", ("antenna_index", "excess_attenuation_db"),
                                 "excess_attenuation_antenna_db", x, y,
@@ -377,15 +380,20 @@ def run(config: ScenarioConfig) -> ResultTable:
     """Evaluate every requested quantity at every position.
 
     Blocks come in export order: array-factor curves in
-    ``array_factor_spacings`` order, then positions sorted by (x, y).
+    ``array_factor_spacings`` order, then positions sorted by (x, y). Every
+    DoA block indexes one read-only array of the run's gamma grid, in degrees.
     """
     scene = config.scene()
     blocks: list[Block] = []
     if "array_factor" in config.outputs:
         blocks.extend(_array_factor_block(config, scene, s) for s in config.array_factor_spacings)
+    gamma_deg = None
+    if "doa_spectrum" in config.outputs:
+        gamma_deg = np.degrees(doa_grid(scene.array.spacing, scene.wavelength, config.n_fft)[1])
+        gamma_deg.flags.writeable = False
     if any(k != "array_factor" for k in config.outputs):
         for xy in sorted(config.positions):
-            blocks.extend(_position_blocks(config, scene, xy))
+            blocks.extend(_position_blocks(config, scene, gamma_deg, xy))
     return ResultTable(blocks=tuple(blocks), config_hash=config.config_hash(), version=__version__)
 
 

@@ -66,10 +66,12 @@ def observe(
 ) -> Observation:
     """Solve the sheet integral once and form the empty and occupied snapshots.
 
-    Without ``rel_tol`` the sheet is solved on the ``discretize_sheet`` grid
-    at node spacing ``step`` wavelengths (default lambda/10); with it the
-    step is halved from there until two successive solves agree to
-    ``rel_tol`` (``converged_field_ratio_vector``). Noiseless.
+    The sheet is solved on the ``discretize_sheet`` grid at node spacing
+    ``step`` wavelengths (default lambda/10). With ``rel_tol`` that solve is
+    checked against one at twice the step, and the step is halved until two
+    successive solves agree to ``rel_tol`` (``converged_field_ratio_vector``);
+    when the first check passes, the ratios are those of the solve without
+    ``rel_tol``. Noiseless.
     """
     if rel_tol is not None:
         ratios, _ = converged_field_ratio_vector(scene, target, rel_tol, step)
@@ -103,11 +105,10 @@ def attenuation_spectrum_from_snapshots(
     """Excess attenuation against DoA from a pair of received vectors.
 
     Both vectors are placed at centered DFT positions m = -M .. +M,
-    zero-padded to ``n_fft`` and transformed; bins whose spatial frequency
-    maps inside cos(gamma) in (-1, 1) become the gamma grid via
-    gamma = arccos(lambda f / d_a). The curve is 20 log10 of the
-    empty-over-occupied magnitude ratio per bin, so any common scale on
-    the two vectors cancels.
+    zero-padded to ``n_fft`` and transformed; the bins that map to a
+    direction of arrival (``doa_grid``) give the gamma grid. The curve is
+    20 log10 of the empty-over-occupied magnitude ratio per bin, so any
+    common scale on the two vectors cancels.
     """
     r_empty = np.asarray(r_empty, dtype=complex)
     r_occupied = np.asarray(r_occupied, dtype=complex)
@@ -128,11 +129,19 @@ def attenuation_spectrum_from_snapshots(
     spec0 = np.fft.fft(padded0)
     spec1 = np.fft.fft(padded1)
 
-    cos_gamma = wavelength * np.fft.fftfreq(n_fft) / spacing
-    valid = np.abs(cos_gamma) < 1.0
-    gamma = np.arccos(cos_gamma[valid])
+    bins, gamma = doa_grid(spacing, wavelength, n_fft)
     with np.errstate(divide="ignore"):
-        attenuation = 20.0 * np.log10(np.abs(spec0[valid]) / np.abs(spec1[valid]))
+        attenuation = 20.0 * np.log10(np.abs(spec0[bins]) / np.abs(spec1[bins]))
+    return DoaSpectrum(gamma_grid=gamma, excess_attenuation_db=attenuation)
 
+
+def doa_grid(spacing: float, wavelength: float, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DFT bins that map to a direction of arrival, and their gammas, by ascending gamma.
+
+    Bin f maps to gamma = arccos(lambda f / d_a) when that cosine lies in (-1, 1).
+    """
+    cos_gamma = wavelength * np.fft.fftfreq(n_fft) / spacing
+    bins = np.flatnonzero(np.abs(cos_gamma) < 1.0)
+    gamma = np.arccos(cos_gamma[bins])
     order = np.argsort(gamma)
-    return DoaSpectrum(gamma_grid=gamma[order], excess_attenuation_db=attenuation[order])
+    return bins[order], gamma[order]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,35 @@ class TestFieldRatio:
         grid = discretize_sheet(make_paper_target(), paper_scene)
         att = excess_attenuation_db(field_ratio_vector(paper_scene, make_paper_target(), grid)[2])
         assert 13.0 <= att <= 17.0
+
+    @pytest.mark.parametrize("half_count", [0, 2, 8])
+    @pytest.mark.parametrize("rotation_deg", [-30.0, 30.0])
+    def test_agrees_with_the_complex_exponential_sum(self, half_count, rotation_deg):
+        scene = make_paper_scene(half_count)
+        target = make_paper_target(1.3, 0.2, np.radians(rotation_deg))
+        grid = discretize_sheet(target, scene)
+        r1 = np.linalg.norm(grid.points - scene.tx, axis=1)
+        expected = []
+        for rx in antenna_positions(scene):
+            r2 = np.linalg.norm(grid.points - rx, axis=1)
+            dm = np.linalg.norm(rx - scene.tx)
+            terms = np.exp(-2j * np.pi / WAVELENGTH * (r1 + r2 - dm)) / (r1 * r2) * grid.areas
+            expected.append(1.0 - 1j * dm / WAVELENGTH * np.sum(terms))
+        assert_allclose(field_ratio_vector(scene, target, grid), expected, rtol=1e-13)
+
+    def test_solve_holds_three_doubles_per_node(self):
+        # r1 and the two partial-sum arrays; the rest is one block of temporaries
+        scene = make_paper_scene(0)
+        target = make_paper_target()
+        grid = discretize_sheet(target, scene, 0.0058)  # 787 x 2,575 nodes, folded
+        tracemalloc.start()
+        try:
+            field_ratio_vector(scene, target, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid.areas) == 1_013_656
+        assert peak < 24 * len(grid.areas) + 1_000_000
 
     def test_block_size_leaves_every_bit_unchanged(self, paper_scene, monkeypatch):
         target = make_paper_target(1.0, 0.25)
@@ -159,16 +190,37 @@ class TestQuadratureConvergence:
         monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
         converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4, step=0.05)
-        assert steps == [0.05, 0.025]
+        assert steps == [0.1, 0.05]  # the check at twice the step comes first
+
+    def test_refinement_halves_the_step_until_two_solves_agree(self, paper_scene, monkeypatch):
+        steps = []
+
+        def recording_discretize_sheet(target, scene, step):
+            steps.append(step)
+            return discretize_sheet(target, scene, step)
+
+        monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
+        # a wide sheet near the transmitter: steps 0.2 and 0.1 differ by about 1e-7
+        target = TargetSheet((0.1, 0.0), 0.5, 1.0)
+        ratios, change = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-8)
+        assert steps == [0.2, 0.1, 0.05]
+        assert change < 1e-12
+        grid = discretize_sheet(target, paper_scene, 0.05)
+        assert np.array_equal(ratios, field_ratio_vector(paper_scene, target, grid))
+
+    @pytest.mark.parametrize("step", [0.0, 0.1000001, np.nan])
+    def test_step_outside_zero_to_a_tenth_wavelength_rejected(self, paper_scene, step):
+        with pytest.raises(ValueError, match=r"step must be in \(0, 0.1\]"):
+            converged_field_ratio_vector(paper_scene, make_paper_target(), step=step)
 
     def test_returned_change_is_that_of_the_last_two_solves(self, paper_scene, converged_on_los):
         ratios, change = converged_on_los
         target = make_paper_target()
         coarse, fine = (
             field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, step))
-            for step in (0.1, 0.05)
+            for step in (0.2, 0.1)
         )
-        assert np.array_equal(ratios, fine)
+        assert np.array_equal(ratios, fine)  # the default-step solve, kept
         assert change == np.max(np.abs(fine - coarse) / np.abs(fine))
         assert change < 1e-10
 
@@ -182,7 +234,7 @@ class TestQuadratureConvergence:
 
         monkeypatch.setattr(em_model, "discretize_sheet", counting_discretize_sheet)
         converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
-        assert nodes == [3_450, 13_800]  # 46 x 150 and 92 x 299 nodes, folded
+        assert nodes == [874, 3_450]  # 23 x 75 and 46 x 150 nodes, folded
 
     def test_meets_tolerance_against_a_finer_estimate(self, paper_scene):
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)

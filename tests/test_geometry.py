@@ -10,6 +10,7 @@ from arrayshadow import (
     discretize_sheet,
 )
 from arrayshadow.geometry import grid_cells
+from arrayshadow.presets import load_preset
 from conftest import WAVELENGTH, make_paper_target
 
 
@@ -138,13 +139,30 @@ class TestDiscretizeSheet:
         offsets = (grid.points - center) @ normal
         assert_allclose(offsets, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("step", [0.0, -0.05, 0.1000001, np.inf, np.nan])
-    def test_step_outside_zero_to_a_tenth_wavelength_rejected(self, paper_scene, step):
+    @pytest.mark.parametrize("step", [0.0, -0.05, 0.2000001, np.inf, np.nan])
+    def test_step_outside_zero_to_a_fifth_wavelength_rejected(self, paper_scene, step):
+        # a fifth: converged mode checks a step of at most a tenth against twice that step
         target = make_paper_target()
-        with pytest.raises(ValueError, match=r"step must be in \(0, 0.1\]"):
+        with pytest.raises(ValueError, match=r"step must be in \(0, 0.2\]"):
             grid_cells(target, paper_scene, step)
         with pytest.raises(ValueError, match="step"):
             discretize_sheet(target, paper_scene, step)
+
+
+    def test_order_cap_admits_the_largest_shipped_and_desk_grids(self, paper_scene):
+        knife_edge = load_preset("knife_edge_validation")
+        target = knife_edge.target_at(*knife_edge.positions[0])
+        assert grid_cells(target, knife_edge.scene(), knife_edge.quadrature_step) == (1_222, 1_153)
+        assert grid_cells(make_paper_target(), paper_scene, 0.1 / 32) == (1_460, 4_778)
+
+    @pytest.mark.parametrize("half_width, step, order", [
+        (500.0, 0.1, "82,951"),  # 1 km wide, 1 mm tall: 82,951 x 1 nodes
+        (50.0, 0.001, "829,508"),
+    ])
+    def test_axis_order_over_the_cap_rejected(self, paper_scene, half_width, step, order):
+        target = TargetSheet((1.0, 0.0), half_width, 0.0005)
+        with pytest.raises(ValueError, match=f"order {order} .* exceeds the cap of 10,000"):
+            grid_cells(target, paper_scene, step)
 
 
 class TestFrameProperties:

@@ -405,6 +405,26 @@ class TestLoadScenario:
         assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
         assert refused in capsys.readouterr().err
 
+    @pytest.mark.parametrize("half_width, step, order", [  # 1 mm tall sheets, within the budget
+        (500.0, 0.1, "82,951"),  # 1 km wide: 82,951 x 1 nodes
+        (50.0, 0.001, "829,508"),  # 100 m wide: 829,508 x 9 nodes, folded to 4.1M
+    ])
+    def test_axis_order_over_the_cap_is_a_validation_error(
+        self, tmp_path, capsys, monkeypatch, half_width, step, order
+    ):
+        def no_rule(n):
+            raise AssertionError(f"a {n}-point rule built for a refused scenario")
+
+        monkeypatch.setattr(geometry, "gauss_legendre", no_rule)
+        raw = minimal_config(processing={"quadrature_step_wavelengths": step})
+        raw["target"].update(half_width_m=half_width, half_height_m=0.0005)
+        message = f"quadrature order {order} along the sheet .* exceeds the cap of 10,000"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(json.dumps(raw))
+        path = write_config(tmp_path, raw)
+        assert cli_main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"quadrature order {order}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("d0", [1e15, 1e6 * WAVELENGTH * (1 + 1e-9)])
     def test_link_longer_than_a_million_wavelengths_rejected(self, tmp_path, capsys, d0):
         raw = minimal_config()
@@ -512,14 +532,15 @@ class TestRun:
     @pytest.mark.parametrize("processing, budget, message, cli_exit", [
         # the CLI parses under the same budget, which refuses the start grid: exit 1
         ({}, 1_000, "exceeds the budget", 1),
-        # two grids fit and agree to about 5e-14, short of rel_tol; the third does not
+        # three grids fit and agree to about 5e-14, short of rel_tol; the fourth does not
         ({"quadrature_rel_tol": 1e-16}, 30_000,
          r"relative change \d[\d.e+-]* against rel_tol 1e-16", 2),
     ], ids=["fixed_grid", "converged"])
     def test_node_budget_fails_cleanly(
         self, tmp_path, capsys, monkeypatch, processing, budget, message, cli_exit
     ):
-        # folded desk grids: lambda/10: 3,450 nodes; lambda/20: 13,800; lambda/40: 54,717
+        # folded desk grids: lambda/5: 874 nodes; lambda/10: 3,450; lambda/20: 13,800;
+        # lambda/40: 54,717
         path = write_config(tmp_path, minimal_config(processing=processing))
         config = load_scenario(path)
         monkeypatch.setattr(geometry, "MAX_GRID_NODES", budget)  # after the parse-time check
@@ -543,6 +564,18 @@ class TestRun:
                 uniform_weights(cfg.half_count), obs.empty, obs.occupied
             ))
         assert run(cfg).rows.tolist() == expected
+
+    def test_doa_blocks_share_one_read_only_gamma_grid(self):
+        cfg = load_preset("paper_fig5")  # three positions
+        blocks = [b for b in run(cfg).blocks if b.quantity == "doa_excess_attenuation_db"]
+        assert len(blocks) == len(cfg.positions) == 3
+        assert all(b.index is blocks[0].index for b in blocks)
+        assert not blocks[0].index.flags.writeable
+        obs = observe(cfg.scene(), cfg.target_at(*cfg.positions[0]), cfg.quadrature_step)
+        spectrum = attenuation_spectrum_from_snapshots(
+            obs.empty, obs.occupied, cfg.spacing, cfg.scene().wavelength, cfg.n_fft
+        )
+        assert np.array_equal(blocks[0].index, np.degrees(spectrum.gamma_grid))
 
     def test_array_factor_output(self):
         table = run(load_preset("paper_fig3"))
@@ -762,6 +795,22 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.splitlines() == ["[]", "[] 0"]
+
+    def test_simulate_leaves_scipy_unloaded(self, tmp_path):
+        # scipy.special alone takes about 0.27 s to import; the Gauss-Legendre rule is in-house
+        absent = "{'scipy', 'arrayshadow.oracles', 'numpy.polynomial'}"
+        code = (
+            "import sys, arrayshadow.cli\n"
+            f"code = arrayshadow.cli.main(['simulate', 'paper_fig4', '--out', {str(tmp_path)!r}])\n"
+            f"print(code, sorted({absent} & set(sys.modules)))\n"
+        )
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "0 []"
+        assert len(list(tmp_path.glob("*.csv"))) == 7  # two per position and the means
 
     def test_oracle_without_scipy_names_the_extra(self):
         code = (

@@ -40,9 +40,9 @@ class TestSnapshot:
         grid = discretize_sheet(target, paper_scene, 0.05)
         assert np.array_equal(fixed.ratios, field_ratio_vector(paper_scene, target, grid))
         assert np.array_equal(fixed.occupied, fixed.empty * fixed.ratios)
+        # the first check, against the solve at step 0.1, passes: the step's own solve is kept
         converged = observe(paper_scene, target, 0.05, rel_tol=1e-2)
-        assert not np.array_equal(converged.ratios, fixed.ratios)
-        assert_allclose(converged.ratios, fixed.ratios, rtol=1e-2)
+        assert np.array_equal(converged.ratios, fixed.ratios)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
