@@ -37,10 +37,18 @@ def _distances(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
 
     One coordinate column at a time: numpy loops over an (N, 3) - (3,)
     difference, and a norm along its short axis, row by row, several times
-    slower. The sum runs x, y, z in order, as ``np.linalg.norm`` sums them.
+    slower. The sum runs x, y, z in order, as ``np.linalg.norm`` sums them, in
+    two buffers.
     """
-    dx, dy, dz = (points[:, j] - origin[j] for j in range(3))
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+    d = points[:, 0] - origin[0]
+    d *= d
+    t = points[:, 1] - origin[1]
+    t *= t
+    d += t
+    np.subtract(points[:, 2], origin[2], out=t)
+    t *= t
+    d += t
+    return np.sqrt(d, out=d)
 
 
 def field_ratio_vector(
@@ -79,10 +87,17 @@ def field_ratio_vector(
             r2 = _distances(points[b], rx_all[i])
             if r2.min() < _MIN_CLEARANCE:
                 raise ValueError("target intersects antenna")
-            w = areas[b] / (r1[b] * r2)
-            phase = k * (r1[b] + r2 - dm_all[i])
-            np.multiply(w, np.cos(phase), out=real[b])
-            np.multiply(w, np.sin(phase), out=imag[b])
+            # in place, in the operation order of areas / (r1 r2) and k (r1 + r2 - d_m),
+            # so the buffers change no bit
+            w = r1[b] * r2
+            np.divide(areas[b], w, out=w)
+            phase = r2
+            phase += r1[b]
+            phase -= dm_all[i]
+            phase *= k
+            for part, fn in ((real[b], np.cos), (imag[b], np.sin)):
+                fn(phase, out=part)
+                part *= w
         # 1 - j c (S_cos - j S_sin) with c = d_m / lambda
         c = dm_all[i] / scene.wavelength
         out[i] = complex(1.0 - c * np.sum(imag), -c * np.sum(real))

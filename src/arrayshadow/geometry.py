@@ -208,7 +208,13 @@ def discretize_sheet(target: TargetSheet, scene: Scene, step: float = MAX_STEP) 
     vertical = np.array([0.0, 0.0, 1.0])
     center = np.array([*target.barycenter, scene.link_height])
 
-    yy, zz = np.meshgrid(ay * u, az * v, indexing="ij")
-    points = center + yy.reshape(-1, 1) * in_plane + zz.reshape(-1, 1) * vertical
+    yy, zz = np.repeat(ay * u, len(v)), np.tile(az * v, len(u))  # the (across, up) mesh, raveled
+    # Column by column, in Fortran order, so each coordinate the distances read
+    # is contiguous; (c + yy * in_plane) + zz * vertical is the broadcast's order.
+    points = np.empty((len(yy), 3), order="F")
+    for j, col in enumerate(points.T):
+        np.multiply(yy, in_plane[j], out=col)
+        col += center[j]
+        col += zz * vertical[j]
     areas = np.outer(ay * wu, az * wv).ravel()
     return QuadratureGrid(points=points, areas=areas)

@@ -457,6 +457,8 @@ def _export_columns(table: ResultTable, fmt: str, out_dir: Path) -> list[Path]:
         blocks = groups[stem]
         path = out_dir / (stem + suffix)
         columns = sep.join(blocks[0].columns)
+        # one C format per line: "%.9g" spells a value as format(value, ".9g") does
+        template = sep.join([f"%{_FLOAT_FMT}"] * len(blocks[0].columns)) + "\n"
         with path.open("w") as f:
             f.write(f"{header_meta}\n{'# ' if fmt == 'gnuplot' else ''}{columns}\n")
             for block in blocks:
@@ -464,6 +466,6 @@ def _export_columns(table: ResultTable, fmt: str, out_dir: Path) -> list[Path]:
                     lines = [(block.x, block.y, *block.values.tolist())]
                 else:
                     lines = zip(block.index.tolist(), block.values.tolist())
-                f.writelines(sep.join(format(v, _FLOAT_FMT) for v in line) + "\n" for line in lines)
+                f.writelines(template % line for line in lines)
         written.append(path)
     return written

@@ -8,6 +8,7 @@ empty and occupied snapshots every other quantity is derived from.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -135,13 +136,19 @@ def attenuation_spectrum_from_snapshots(
     return DoaSpectrum(gamma_grid=gamma, excess_attenuation_db=attenuation)
 
 
+# Every position of a run asks for the run's one grid; a few entries cover a few runs.
+@functools.lru_cache(maxsize=4)
 def doa_grid(spacing: float, wavelength: float, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     """The DFT bins that map to a direction of arrival, and their gammas, by ascending gamma.
 
     Bin f maps to gamma = arccos(lambda f / d_a) when that cosine lies in (-1, 1).
+    Both arrays are read-only: they are shared through the cache.
     """
     cos_gamma = wavelength * np.fft.fftfreq(n_fft) / spacing
     bins = np.flatnonzero(np.abs(cos_gamma) < 1.0)
     gamma = np.arccos(cos_gamma[bins])
     order = np.argsort(gamma)
-    return bins[order], gamma[order]
+    bins, gamma = bins[order], gamma[order]
+    for a in (bins, gamma):
+        a.flags.writeable = False
+    return bins, gamma

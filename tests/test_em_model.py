@@ -87,9 +87,11 @@ class TestFieldRatio:
             expected.append(1.0 - 1j * dm / WAVELENGTH * np.sum(terms))
         assert_allclose(field_ratio_vector(scene, target, grid), expected, rtol=1e-13)
 
-    def test_solve_holds_three_doubles_per_node(self):
-        # r1 and the two partial-sum arrays; the rest is one block of temporaries
-        scene = make_paper_scene(0)
+    @pytest.mark.parametrize("half_count", [0, 2, 8])
+    def test_solve_holds_three_doubles_per_node(self, half_count):
+        # r1 and the two partial-sum arrays; the rest is one block of temporaries,
+        # so the peak does not grow with the antenna count
+        scene = make_paper_scene(half_count)
         target = make_paper_target()
         grid = discretize_sheet(target, scene, 0.0058)  # 787 x 2,575 nodes, folded
         tracemalloc.start()

@@ -9,7 +9,7 @@ from arrayshadow import (
     antenna_positions,
     discretize_sheet,
 )
-from arrayshadow.geometry import grid_cells
+from arrayshadow.geometry import gauss_legendre, grid_cells
 from arrayshadow.presets import load_preset
 from conftest import WAVELENGTH, make_paper_target
 
@@ -114,6 +114,24 @@ class TestDiscretizeSheet:
         across = 0.5 * np.concatenate([GL4_WEIGHTS[::-1], GL4_WEIGHTS])
         assert_allclose(grid.areas, np.outer(across, 0.3 * np.array([8 / 9, 10 / 9])).ravel(),
                         rtol=1e-14)
+
+    @pytest.mark.parametrize("rotation_deg", [0.0, 30.0, -30.0])
+    @pytest.mark.parametrize("half_height, up", [(0.9, 150), (0.885, 147)])
+    def test_points_are_the_broadcast_in_contiguous_columns(
+        self, paper_scene, rotation_deg, half_height, up
+    ):
+        target = TargetSheet((1.3, -0.2), 0.275, half_height, np.radians(rotation_deg))
+        ny, nz = grid_cells(target, paper_scene)
+        assert nz == up
+        grid = discretize_sheet(target, paper_scene)
+        assert all(grid.points[:, j].flags.c_contiguous for j in range(3))
+        u, v = gauss_legendre(ny)[0], gauss_legendre(nz)[0][nz // 2:]
+        yy, zz = np.meshgrid(0.275 * u, half_height * v, indexing="ij")
+        theta = target.rotation
+        center = np.array([1.3, -0.2, paper_scene.link_height])
+        expected = (center + yy.reshape(-1, 1) * [-np.sin(theta), np.cos(theta), 0.0]
+                    + zz.reshape(-1, 1) * [0.0, 0.0, 1.0])
+        assert grid.points.tobytes() == expected.tobytes()  # every bit, the sign of zero too
 
     def test_mean_node_spacing_never_exceeds_the_step(self, paper_scene):
         target = make_paper_target()

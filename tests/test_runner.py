@@ -26,7 +26,7 @@ from arrayshadow import (
     observe,
     uniform_weights,
 )
-from arrayshadow import runner
+from arrayshadow import runner, sensing
 from arrayshadow.cli import _build_parser
 from arrayshadow.cli import main as cli_main
 from arrayshadow.presets import PRESET_NAMES, load_preset, preset_text
@@ -577,6 +577,15 @@ class TestRun:
         )
         assert np.array_equal(blocks[0].index, np.degrees(spectrum.gamma_grid))
 
+    def test_one_run_builds_the_doa_grid_once(self):
+        cfg = load_preset("paper_fig5")  # three positions
+        sensing.doa_grid.cache_clear()
+        run(cfg)
+        info = sensing.doa_grid.cache_info()
+        assert (info.misses, info.hits) == (1, len(cfg.positions))  # run's grid, then one per spectrum
+        bins, gamma = sensing.doa_grid(cfg.spacing, cfg.scene().wavelength, cfg.n_fft)
+        assert not bins.flags.writeable and not gamma.flags.writeable
+
     def test_array_factor_output(self):
         table = run(load_preset("paper_fig3"))
         half_lam = [b for b in table.blocks if b.quantity == "array_factor_db[da=0.5lam]"]
@@ -611,6 +620,60 @@ class TestExport:
                     got.append(f"{preset} {fmt} {path.name} {digest}")
         changed = sorted(set(got) ^ set(pinned))
         assert got == pinned, "differing lines:\n" + "\n".join(changed)
+
+    def test_rotated_wide_array_exports_match_pinned_digests(self, tmp_path):
+        # a desk sweep off the presets' rotation 0 and M <= 2: the sheet turned,
+        # 17 antennas, and positions at the desk's corners and on the line of sight
+        raw = json.loads(preset_text("paper_fig4"))
+        raw["scene"]["half_count"] = 8
+        raw["target"]["rotation_deg"] = -23.5
+        raw["target"]["positions_m"] = [[0.5, 1.2], [3.5, -1.2], [1.0, 0.0]]
+        pinned = {
+            ("csv", "doa_spectrum_x0.500_y1.200.csv"): "61c9dbec72e279d568768b48f67f288e5c09af075fea147bc4910c89cfc1f772",
+            ("csv", "doa_spectrum_x1.000_y0.000.csv"): "3b2939a49bbdca21c001766169d110018f3972a0087cde0d51c84fcfe9bce1e0",
+            ("csv", "doa_spectrum_x3.500_y-1.200.csv"): "66be3d388bd51230087396df8228a6e6e877062077455a900774a7b11d9b433d",
+            ("csv", "mean_attenuation.csv"): "b8bcdfea86c7ff3fbbd3b94c30b8cedcdf234533054f79f225a79835171dfcfb",
+            ("csv", "per_antenna_x0.500_y1.200.csv"): "7b2b573a3def5b4fb12d347faf5c81a4a813ad656b3c7d1d169d181d2f81ac0d",
+            ("csv", "per_antenna_x1.000_y0.000.csv"): "87b23375d3d7fcbcd58573b33c13a635a776b3be053944cd1851ec4aacc2c7ca",
+            ("csv", "per_antenna_x3.500_y-1.200.csv"): "80171ca560db7e5e81ee5a8b1b88e0f5ae6d6e71485353d0aafb5c967abfd1fa",
+            ("gnuplot", "doa_spectrum_x0.500_y1.200.dat"): "68003c0709b98b7290c0c925d107cf211bcdd66a8367e0b00537a0c2fa22871b",
+            ("gnuplot", "doa_spectrum_x1.000_y0.000.dat"): "821e51834fb9efbdc15dd71417282b44d3e89c8bc8e06c6a2539475936a7aa32",
+            ("gnuplot", "doa_spectrum_x3.500_y-1.200.dat"): "12792e8a78f7acf148e34f962775e3d32401d728a6c11089b604138ee7b214a5",
+            ("gnuplot", "mean_attenuation.dat"): "1bfaddb4d9c89018024041dc1661f62282b13a50a4ec76b98fae72c1dd19c617",
+            ("gnuplot", "per_antenna_x0.500_y1.200.dat"): "41e774c9a5431bdfa398f40b72201ab392bd276b95d67107eff4bc38a8b3c361",
+            ("gnuplot", "per_antenna_x1.000_y0.000.dat"): "5a9cc2310af2fabc33c4cf052bfcac0b0c337f2a8cd2d723ecb9be9e33d25568",
+            ("gnuplot", "per_antenna_x3.500_y-1.200.dat"): "c37b92bef19ed95c22c3bed169f78dfe23b9a8631bcee63b6337fce0c9689382",
+            ("jsonl", "results.jsonl"): "e818a6cf328d0b44c41439ba9002f49d7e706a1026ebaedd95035a36055ae6f3",
+        }
+        table = run(parse_scenario(json.dumps(raw)))
+        got = {
+            (fmt, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
+            for fmt in ("csv", "gnuplot", "jsonl")
+            for path in export(table, fmt, tmp_path / fmt)
+        }
+        assert got == pinned
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("gnuplot", " ")])
+    def test_each_line_spells_its_values_as_format_does(self, tmp_path, fmt, sep):
+        special = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1, -2.5e-7]
+        blocks = (
+            runner.Block("curve", ("gamma_deg", "value_db"), "q", None, None,
+                         np.array(special), np.array(special[::-1])),
+            runner.Block("antennas", ("antenna_index", "value_db"), "q", 1.0, -0.0,
+                         np.arange(-8, 0), np.array(special)),
+            *(runner.Block("mean", ("x_m", "y_m", "value_db"), "q", x, y, None, np.array([v]))
+              for x, y, v in [(0.5, -1.2, math.inf), (-0.0, 1e16, math.nan), (5e-324, 0.1, -0.0)]),
+        )
+        table = runner.ResultTable(blocks, "0123456789ab", "0.0")
+        assert isinstance(blocks[1].index.tolist()[0], int)  # antenna indices stay Python ints
+        for path in export(table, fmt, tmp_path):
+            expected = []
+            for b in blocks:
+                if b.stem == path.stem:
+                    lines = ([(b.x, b.y, *b.values.tolist())] if b.index is None
+                             else zip(b.index.tolist(), b.values.tolist()))
+                    expected += [sep.join(format(v, ".9g") for v in line) for line in lines]
+            assert path.read_text().splitlines()[2:] == expected
 
     def test_csv_spectrum_header(self, tmp_path):
         paths = export(run(load_preset("paper_fig4")), "csv", tmp_path)
