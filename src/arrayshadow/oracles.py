@@ -114,8 +114,9 @@ def naive_dft(x: np.ndarray, n_fft: int) -> np.ndarray:
     """Direct O(N^2) DFT with centered input indexing.
 
     The input of odd length 2M+1 occupies positions m = -M .. +M; output
-    bin k holds sum_m x_m exp(-j 2 pi k m / n_fft), matching the fast
-    transform used for DoA spectra.
+    bin k holds sum_m x_m exp(-j 2 pi k m / n_fft). The fast transform of
+    the DoA spectra places the input at 0 .. 2M instead, so the two agree in
+    magnitude, not in phase.
     """
     x = np.asarray(x, dtype=complex)
     if n_fft < x.size:

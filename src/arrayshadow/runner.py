@@ -34,7 +34,7 @@ OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "
 _FLOAT_FMT = ".9g"  # significant digits pinned for byte-stable exports
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps writes them
 # The most values one run may export. It admits nine positions at n_fft = 2**20,
-# which peak at about 380 MB.
+# which peak at about 260 MB.
 MAX_EXPORTED_VALUES = 10_000_000
 # The longest link, in wavelengths. Much longer links lose the digits of the path
 # difference r1 + r2 - d0: at 1e15 m an absorbing sheet reads as a 17 dB gain.
@@ -194,7 +194,8 @@ def _quoted(text: str) -> str:
 
 
 def _position_tag(x: float, y: float) -> str:
-    """Position part of export file names; positions closer than 1 mm share it."""
+    """Position part of export file names: the coordinates rounded to the mm, -0.000 as 0.000."""
+    x, y = (round(v, 3) + 0.0 for v in (x, y))  # -0.0 + 0.0 is 0.0
     return f"x{x:.3f}_y{y:.3f}"
 
 
@@ -261,7 +262,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             )
         j = first_with_tag.setdefault(_position_tag(*positions[-1]), i)
         if j != i:
-            errors.append(f"{label}[{j}] and [{i}] are within 1 mm and would share export files")
+            errors.append(f"{label}[{j}] and [{i}] match to the mm and would share export files")
 
     if fields["n_fft"] < 2 * fields["half_count"] + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
@@ -269,6 +270,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     outputs = tuple(_typed(raw.get("outputs"), list, "outputs", errors, []))
     if not outputs:
         errors.append("outputs: at least one output kind is required")
+    first_with_kind: dict[str, int] = {}
     for i, kind in enumerate(outputs):
         if not isinstance(kind, str):
             errors.append(f"outputs[{i}] must be a string")
@@ -276,6 +278,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             errors.append(
                 f"outputs: unknown kind {_quoted(kind)} (choose from {', '.join(OUTPUT_KINDS)})"
             )
+        elif (j := first_with_kind.setdefault(kind, i)) != i:
+            errors.append(f"outputs[{j}] and [{i}] repeat one kind")
 
     if any(k != "array_factor" for k in outputs):
         if fields["target_half_width"] is None or fields["target_half_height"] is None:

@@ -105,11 +105,11 @@ def attenuation_spectrum_from_snapshots(
 ) -> DoaSpectrum:
     """Excess attenuation against DoA from a pair of received vectors.
 
-    Both vectors are placed at centered DFT positions m = -M .. +M,
-    zero-padded to ``n_fft`` and transformed; the bins that map to a
-    direction of arrival (``doa_grid``) give the gamma grid. The curve is
-    20 log10 of the empty-over-occupied magnitude ratio per bin, so any
-    common scale on the two vectors cancels.
+    Both vectors are zero-padded to ``n_fft`` and transformed in one call;
+    the bins that map to a direction of arrival (``doa_grid``) give the
+    gamma grid. The curve is 20 log10 of the empty-over-occupied magnitude
+    ratio per bin, so a common scale on the two vectors cancels, as does
+    the samples' place in the padded input, which moves only phases.
     """
     r_empty = np.asarray(r_empty, dtype=complex)
     r_occupied = np.asarray(r_occupied, dtype=complex)
@@ -120,19 +120,11 @@ def attenuation_spectrum_from_snapshots(
         raise ValueError("expected an odd number of antennas (2M+1)")
     if n_fft < n:
         raise ValueError(f"n_fft {n_fft} smaller than the array size {n}")
-    half = n // 2
-
-    slots = np.arange(-half, half + 1) % n_fft
-    padded0 = np.zeros(n_fft, dtype=complex)
-    padded1 = np.zeros(n_fft, dtype=complex)
-    padded0[slots] = r_empty
-    padded1[slots] = r_occupied
-    spec0 = np.fft.fft(padded0)
-    spec1 = np.fft.fft(padded1)
+    magnitudes = np.abs(np.fft.fft(np.stack([r_empty, r_occupied]), n_fft))
 
     bins, gamma = doa_grid(spacing, wavelength, n_fft)
     with np.errstate(divide="ignore"):
-        attenuation = 20.0 * np.log10(np.abs(spec0[bins]) / np.abs(spec1[bins]))
+        attenuation = 20.0 * np.log10(magnitudes[0, bins] / magnitudes[1, bins])
     return DoaSpectrum(gamma_grid=gamma, excess_attenuation_db=attenuation)
 
 

@@ -341,12 +341,25 @@ class TestLoadScenario:
             parsed.result()
         assert len(str(err.value)) < 300
 
-    @pytest.mark.parametrize("second", [[1.0004, 0.0], [1.0, 0.0]])
+    @pytest.mark.parametrize("second", [[1.0004, 0.0], [1.0, 0.0], [1.0, -0.0], [1.0, -0.0004]])
     def test_positions_sharing_a_file_name_rejected(self, tmp_path, second):
         raw = minimal_config()
         raw["target"]["positions_m"] = [[1.0, 0.0], [1.0, 0.5], second]
         with pytest.raises(ScenarioError, match=r"positions_m\[0\] and \[2\]"):
             load_scenario(write_config(tmp_path, raw))
+
+    def test_coordinate_rounding_to_zero_from_below_is_spelt_unsigned(self, tmp_path):
+        raw = minimal_config(outputs=["per_antenna_attenuation"])
+        raw["target"]["positions_m"] = [[1.0, -0.0004]]
+        paths = export(run(parse_scenario(json.dumps(raw))), "csv", tmp_path)
+        assert [p.name for p in paths] == ["per_antenna_x1.000_y0.000.csv"]
+
+    def test_repeated_output_kind_rejected(self):
+        raw = minimal_config(
+            outputs=["doa_spectrum", "per_antenna_attenuation", "mean_attenuation", "doa_spectrum"]
+        )
+        with pytest.raises(ScenarioError, match=r"outputs\[0\] and \[3\]"):
+            parse_scenario(json.dumps(raw))
 
     @pytest.mark.parametrize("second", [0.5000001, 0.5])
     def test_spacings_sharing_a_file_name_rejected(self, tmp_path, second):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,20 +116,38 @@ class TestDoaSpectrum:
         scaled = attenuation_spectrum_from_snapshots(c * r0, c * r1, WAVELENGTH / 2, WAVELENGTH)
         assert_allclose(scaled.excess_attenuation_db, base.excess_attenuation_db, atol=1e-10)
 
-    def test_matches_naive_dft_oracle(self):
+    @pytest.mark.parametrize("half_count", [0, 2, 8])
+    @pytest.mark.parametrize("n_fft", [None, 256, 257, 1031], ids=["unpadded", "256", "257", "1031"])
+    def test_matches_naive_dft_oracle(self, half_count, n_fft):
+        n = 2 * half_count + 1
+        n_fft = n_fft or n
+        spacing = 0.7 * WAVELENGTH  # wide enough that bin -n_fft/2 of an even length is a DoA
+        cosg = WAVELENGTH * np.fft.fftfreq(n_fft) / spacing
+        valid = np.abs(cosg) < 1.0
+        assert n_fft % 2 or valid[n_fft // 2]
+        order = np.argsort(np.arccos(cosg[valid]))
         rng = np.random.default_rng(17)
-        for _ in range(5):
-            r0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            r1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            got = attenuation_spectrum_from_snapshots(r0, r1, WAVELENGTH / 2, WAVELENGTH, 257)
-            y0 = naive_dft(r0, 257)
-            y1 = naive_dft(r1, 257)
-            cosg = WAVELENGTH * np.fft.fftfreq(257) / (WAVELENGTH / 2)
-            valid = np.abs(cosg) < 1.0
-            gamma = np.arccos(cosg[valid])
-            order = np.argsort(gamma)
+        for _ in range(2):
+            r0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            r1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            got = attenuation_spectrum_from_snapshots(r0, r1, spacing, WAVELENGTH, n_fft)
+            y0 = naive_dft(r0, n_fft)
+            y1 = naive_dft(r1, n_fft)
             expected = 20 * np.log10(np.abs(y0[valid]) / np.abs(y1[valid]))[order]
             assert_allclose(got.excess_attenuation_db, expected, atol=1e-10)
+
+    def test_transient_memory_is_three_doubles_per_bin(self):
+        # both transforms, complex, and then their magnitudes: 48 B per bin
+        n_fft = 2**18
+        r0, r1 = np.arange(1.0, 6.0) + 0.5j, np.arange(5.0, 0.0, -1.0) - 0.25j
+        attenuation_spectrum_from_snapshots(r0, r1, WAVELENGTH / 2, WAVELENGTH, n_fft)  # warm
+        tracemalloc.start()
+        try:
+            attenuation_spectrum_from_snapshots(r0, r1, WAVELENGTH / 2, WAVELENGTH, n_fft)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_fft < 64
 
     def test_mirror_symmetry_about_broadside(self, paper_scene):
         plus = observed_spectrum(paper_scene, make_paper_target(1.0, 0.25))
