@@ -16,6 +16,7 @@ from .array_model import (
     uniform_weights,
 )
 from .em_model import (
+    QuadratureReport,
     converged_field_ratio_vector,
     excess_attenuation_db,
     field_ratio_vector,
@@ -44,6 +45,7 @@ __all__ = [
     "DoaSpectrum",
     "Observation",
     "QuadratureGrid",
+    "QuadratureReport",
     "Scene",
     "TargetSheet",
     "antenna_positions",

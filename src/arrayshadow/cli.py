@@ -20,6 +20,7 @@ from .runner import (
     export,
     load_scenario,
     run,
+    start_orders,
 )
 
 
@@ -96,6 +97,11 @@ def main(argv=None) -> int:
         if args.command == "validate":
             config = _resolve_config(args.config)
             print(f"OK: {len(config.positions)} position(s), outputs: {', '.join(config.outputs)}")
+            if any(k != "array_factor" for k in config.outputs):
+                orders = start_orders(config, config.scene(), config.positions)
+                for (x, y), (across, up) in zip(config.positions, orders.tolist()):
+                    print(f"position ({x:g}, {y:g}): start orders {across} x {up}, "
+                          f"{across * -(-up // 2):,} folded nodes")
             return 0
         if args.command == "presets":
             for name in PRESET_NAMES:

@@ -15,37 +15,53 @@ at every antenna.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .geometry import (
-    MAX_STEP,
     QuadratureGrid,
     Scene,
     TargetSheet,
     antenna_positions,
+    check_orders,
     discretize_sheet,
+    sheet_orders,
 )
 
 _MIN_CLEARANCE = 1e-9  # m; below this a grid node sits on an antenna
-# Nodes per block of temporaries: a block's arrays stay in cache and below
-# malloc's mmap threshold, so large grids cost the same from run to run.
-_BLOCK_NODES = 4096
+# Antennas x nodes per block of temporaries, whose arrays (128 KB each) stay in
+# cache. A desk solve's antennas and nodes fit in one block, so the per-call cost
+# of numpy is paid once per solve; a grid of more nodes is summed one antenna at a
+# time, in blocks of this many nodes.
+_BLOCK_NODE_ANTENNAS = 16384
+# The relative change between a solve and its check at which
+# converged_field_ratio_vector stops doubling.
+DEFAULT_REL_TOL = 1e-9
 
 
-def _distances(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Distance of each row of ``points`` from ``origin``.
+class QuadratureReport(NamedTuple):
+    """What a checked solve did: its grid and its check."""
+
+    orders: tuple[int, int]  # (across, up) of the returned solve
+    nodes: int               # folded nodes of the returned solve
+    change: float            # worst relative change against the check, 4 lower per axis
+
+
+def _distances(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``points`` from each row of ``origins``, shape (origins, points).
 
     One coordinate column at a time: numpy loops over an (N, 3) - (3,)
     difference, and a norm along its short axis, row by row, several times
     slower. The sum runs x, y, z in order, as ``np.linalg.norm`` sums them, in
     two buffers.
     """
-    d = points[:, 0] - origin[0]
+    d = points[:, 0] - origins[:, 0, None]
     d *= d
-    t = points[:, 1] - origin[1]
+    t = points[:, 1] - origins[:, 1, None]
     t *= t
     d += t
-    np.subtract(points[:, 2], origin[2], out=t)
+    np.subtract(points[:, 2], origins[:, 2, None], out=t)
     t *= t
     d += t
     return np.sqrt(d, out=d)
@@ -58,33 +74,41 @@ def field_ratio_vector(
 ) -> np.ndarray:
     """Field ratios E/E_ref of ``target`` at every antenna, ordered m = -M .. +M.
 
-    The grid defaults to ``discretize_sheet`` at its default step. The sheet
-    discretization and the transmitter-side distances do not depend on the
-    antenna, so they are computed once. Each antenna's node terms
+    Without a grid, the ratios are those of the checked solve,
+    ``converged_field_ratio_vector`` at its defaults: the start orders alone
+    can be far off near a link end. The transmitter-side distances do not
+    depend on the antenna, so they are computed once. The node terms
     w cos(phase) and w sin(phase), with w = dS / (r1 r2) and
-    exp(-j phase) = cos(phase) - j sin(phase), are computed block by block
-    into two arrays and each is summed whole, so the result does not depend
-    on the block size.
+    exp(-j phase) = cos(phase) - j sin(phase), are computed for a group of
+    antennas at a time, block by block, into two (antennas, nodes) arrays,
+    and each antenna's row is summed whole, so the result does not depend
+    on the grouping or the block size. A group holds as many antennas as
+    keep antennas x nodes within ``_BLOCK_NODE_ANTENNAS``, at least one.
     """
     if grid is None:
-        grid = discretize_sheet(target, scene)
+        return converged_field_ratio_vector(scene, target)[0]
 
     points, areas = grid.points, grid.areas
-    blocks = [slice(start, start + _BLOCK_NODES) for start in range(0, len(areas), _BLOCK_NODES)]
-    r1 = np.empty(len(areas))
-    for b in blocks:
-        r1[b] = _distances(points[b], scene.tx)
-    if r1.min() < _MIN_CLEARANCE:
-        raise ValueError("target intersects antenna")
+    n = len(areas)
     k = 2.0 * np.pi / scene.wavelength
     rx_all = antenna_positions(scene)
     dm_all = np.linalg.norm(rx_all - scene.tx, axis=1)
+    group = min(len(rx_all), max(1, _BLOCK_NODE_ANTENNAS // n))
+    block = max(1, _BLOCK_NODE_ANTENNAS // group)
+    blocks = [slice(start, start + block) for start in range(0, n, block)]
+    r1 = np.empty(n)
+    for b in blocks:
+        r1[b] = _distances(points[b], scene.tx[None])[0]
+    if r1.min() < _MIN_CLEARANCE:
+        raise ValueError("target intersects antenna")
 
     out = np.empty(len(rx_all), dtype=complex)
-    real, imag = np.empty(len(areas)), np.empty(len(areas))
-    for i in range(len(rx_all)):
+    real, imag = np.empty((group, n)), np.empty((group, n))
+    for first in range(0, len(rx_all), group):
+        rx, dm = rx_all[first:first + group], dm_all[first:first + group, None]
+        rows = slice(0, len(rx))
         for b in blocks:
-            r2 = _distances(points[b], rx_all[i])
+            r2 = _distances(points[b], rx)
             if r2.min() < _MIN_CLEARANCE:
                 raise ValueError("target intersects antenna")
             # in place, in the operation order of areas / (r1 r2) and k (r1 + r2 - d_m),
@@ -93,14 +117,15 @@ def field_ratio_vector(
             np.divide(areas[b], w, out=w)
             phase = r2
             phase += r1[b]
-            phase -= dm_all[i]
+            phase -= dm
             phase *= k
-            for part, fn in ((real[b], np.cos), (imag[b], np.sin)):
+            for part, fn in ((real[rows, b], np.cos), (imag[rows, b], np.sin)):
                 fn(phase, out=part)
                 part *= w
         # 1 - j c (S_cos - j S_sin) with c = d_m / lambda
-        c = dm_all[i] / scene.wavelength
-        out[i] = complex(1.0 - c * np.sum(imag), -c * np.sum(real))
+        c = dm[:, 0] / scene.wavelength
+        out.real[first:first + len(rx)] = 1.0 - c * np.sum(imag[rows], axis=1)
+        out.imag[first:first + len(rx)] = -c * np.sum(real[rows], axis=1)
     return out
 
 
@@ -117,37 +142,42 @@ def excess_attenuation_db(ratio) -> float | np.ndarray:
 def converged_field_ratio_vector(
     scene: Scene,
     target: TargetSheet,
-    rel_tol: float = 1e-4,
-    step: float = MAX_STEP,
-) -> tuple[np.ndarray, float]:
-    """Field ratios on the ``step`` grid, checked against a solve at twice the step.
+    rel_tol: float = DEFAULT_REL_TOL,
+    orders=None,
+) -> tuple[np.ndarray, QuadratureReport]:
+    """Field ratios from one checked solve: the start orders, doubled until they hold.
 
-    Solves on the ``discretize_sheet`` grids at ``2 * step`` and at ``step``
-    wavelengths (about half and the full Gauss-Legendre order per axis), and
-    halves the step until the worst per-antenna relative change between two
-    successive solves is below ``rel_tol``. Returns the finer solve and that
-    change: the coarser solve's error, a conservative estimate of the finer
-    one's. When the first check passes, the ratios are exactly those of the
-    fixed-step solve at ``step``. Raises ValueError for a step outside
-    (0, MAX_STEP], and when the next grid would exceed
-    ``geometry.MAX_GRID_NODES`` or ``geometry.MAX_ORDER``, giving the change
-    reached (inf when only one grid was solved).
+    Solves on the ``discretize_sheet`` grid at ``orders`` (across, up; by
+    default the sheet's ``sheet_orders``) and checks it against a solve at
+    4 fewer nodes per axis. While the worst per-antenna relative change
+    between the two is at least ``rel_tol``, both axis orders double and
+    the pair is solved again. Returns the finer solve of the last pair, so
+    a looser ``rel_tol`` never returns a coarser grid, and its report. The
+    change is the check's error, a conservative estimate of the returned
+    solve's. Raises ValueError when either order is 4 or less, and when
+    the next grid would exceed ``geometry.MAX_GRID_NODES`` or
+    ``geometry.MAX_ORDER``, giving the change reached (inf before the first
+    pair).
     """
-    if not 0.0 < step <= MAX_STEP:  # NaN fails too
-        raise ValueError(f"quadrature step must be in (0, {MAX_STEP}] wavelengths, got {step!r}")
-    coarse = field_ratio_vector(scene, target, discretize_sheet(target, scene, 2.0 * step))
+    if orders is None:
+        orders = sheet_orders(scene, [target])[0]
+    ny, nz = (int(n) for n in orders)
+    if min(ny, nz) <= 4:
+        raise ValueError(f"quadrature orders must exceed 4, got {ny} x {nz}")
     change = np.inf
     while True:
         try:
-            grid = discretize_sheet(target, scene, step)
+            check_orders(ny, nz)  # the larger grid of the pair
         except ValueError as e:
             raise ValueError(
                 f"quadrature stopped at relative change {change:.3g} against "
                 f"rel_tol {rel_tol:g}: {e}"
             ) from e
+        # the check first: its grid is freed before the larger one is built
+        check = field_ratio_vector(scene, target, discretize_sheet(target, scene, (ny - 4, nz - 4)))
+        grid = discretize_sheet(target, scene, (ny, nz))
         fine = field_ratio_vector(scene, target, grid)
-        change = float(np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-300)))
+        change = float(np.max(np.abs(fine - check) / np.maximum(np.abs(fine), 1e-300)))
         if change < rel_tol:
-            return fine, change
-        coarse = fine
-        step /= 2.0
+            return fine, QuadratureReport((ny, nz), len(grid.areas), change)
+        ny, nz = 2 * ny, 2 * nz

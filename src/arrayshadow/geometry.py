@@ -16,19 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-# Wavelengths: the default quadrature node spacing and the largest a scenario or
-# solve may ask for. Grids are built up to twice it, for the coarse check of
-# em_model.converged_field_ratio_vector.
+# Wavelengths: the default and largest quadrature step. The step is a node
+# density: a scenario at step s puts MAX_STEP / s times the rule's nodes on each
+# axis (sheet_orders).
 MAX_STEP = 0.1
-# Largest quadrature grid built, refused before allocation: it admits the
-# 3.5M-node desk grid at step lambda/320, about 250 MB peak RSS, and refuses
-# the 14.0M-node one at lambda/640. The 1e-4 desk solve builds the grids at
-# lambda/5 and lambda/10 (874 + 3,450 nodes).
+# Nodes added to pi times an axis's path sweep. Over 150 random desk geometries
+# (M in {2, 4, 8}) the worst relative error against a 96 x 192 solve was 4e-11
+# at a margin of 10, 1.5e-12 at 12 and 7.8e-13 at 14, under 9-digit exports.
+ORDER_MARGIN = 14
+# Largest quadrature grid built, refused before allocation. A checked desk solve
+# builds about 500 + 400 folded nodes per position, and one 0.02 m from the
+# transmitter doubles to 60,928; the knife_edge_validation sheet takes up to
+# 196,824. A solve peaks at about 57 B per node of its larger grid, some 570 MB
+# at the budget.
 MAX_GRID_NODES = 10_000_000
 # Largest Gauss-Legendre order along one sheet axis, refused before the rule is
-# built: the rule costs O(n^2), about 0.9 s at 10,000. It admits the
-# knife_edge_validation grid (1,222 x 1,153) and the desk grid at lambda/320
-# (1,460 x 4,778).
+# built: the rule costs O(n^2), about 0.9 s at 10,000. The knife_edge_validation
+# sheet starts at orders up to 708 x 560 under a parse-time bound of 784 x 740.
 MAX_ORDER = 10_000
 
 
@@ -129,7 +133,8 @@ def antenna_positions(scene: Scene) -> np.ndarray:
     return scene.tx + offsets
 
 
-# Filled by the first solve at each order; a solve needs two orders per grid.
+# Filled by the first solve at each order. A checked solve needs four: its
+# grid's two and those of its check, each 4 lower; a run's orders are multiples of 4.
 @functools.lru_cache(maxsize=32)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
@@ -156,46 +161,84 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def grid_cells(target: TargetSheet, scene: Scene, step: float = MAX_STEP) -> tuple[int, int]:
-    """Gauss-Legendre orders (across, up) of the whole sheet at node spacing ``step``.
+def rule_orders(sweep, density: float = 1.0) -> np.ndarray:
+    """Gauss-Legendre orders for path sweeps ``sweep`` in wavelengths.
 
-    ``step`` is in wavelengths, in (0, 2 * MAX_STEP]; each axis of length 2a
-    gets ``ceil(2a / (step * lambda))`` nodes. Raises ValueError for any other
-    step, when the ``across * ceil(up / 2)`` nodes that ``discretize_sheet``
-    builds would exceed ``MAX_GRID_NODES``, and when either order exceeds
-    ``MAX_ORDER``.
+    Each gets ``ceil(pi * sweep + ORDER_MARGIN)`` nodes, times ``density``,
+    rounded up to a multiple of 4, as floats (inf when the product
+    overflows). The multiples of 4 keep a run's orders, and those of their
+    checks 4 lower, to a handful of cached rules.
     """
-    if not 0.0 < step <= 2 * MAX_STEP:  # NaN fails too
-        raise ValueError(
-            f"quadrature step must be in (0, {2 * MAX_STEP:g}] wavelengths, got {step!r}"
-        )
-    spacing = np.float64(step) * scene.wavelength
-    with np.errstate(over="ignore", divide="ignore"):  # inf nodes are refused below
-        ny, nz = (np.ceil(2.0 * a / spacing) for a in (target.half_width, target.half_height))
-        nodes = ny * np.ceil(nz / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 4.0 * np.ceil(np.ceil(np.pi * np.asarray(sweep) + ORDER_MARGIN) * density / 4.0)
+
+
+def sheet_orders(scene: Scene, targets, density: float = 1.0) -> np.ndarray:
+    """Start orders (across, up) of each sheet in ``targets``, one row each, as ints.
+
+    The path length r1 + r2, in wavelengths, is sampled at each sheet's
+    corners, edge midpoints and centre, for the two outermost antennas. An
+    axis's path sweep is |p(-1) - p(0)| + |p(1) - p(0)| along each of its
+    three sample lines, the worst over the lines and the two antennas; it
+    gets ``rule_orders(sweep, density)`` nodes. The samples miss the 1/r
+    growth near a link end, so the orders are a start, to be checked
+    (``em_model.converged_field_ratio_vector``). Applies no budget.
+    """
+    rotation = np.array([t.rotation for t in targets])
+    half = np.array([(t.half_width, t.half_height) for t in targets])  # (P, 2)
+    center = np.array([(*t.barycenter, scene.link_height) for t in targets])  # (P, 3)
+    in_plane = np.stack([-np.sin(rotation), np.cos(rotation), np.zeros_like(rotation)], axis=1)
+    s = np.array([-1.0, 0.0, 1.0])
+    # samples[p, i, j] = center + a_y s_i in_plane + a_z s_j vertical, shape (P, 3, 3, 3)
+    samples = (center[:, None, None, :]
+               + (half[:, 0, None] * s)[:, :, None, None] * in_plane[:, None, None, :]
+               + (half[:, 1, None] * s)[:, None, :, None] * np.array([0.0, 0.0, 1.0]))
+    r1 = np.linalg.norm(samples - scene.tx, axis=-1)
+    ends = antenna_positions(scene)[[0, -1]]
+    path = np.stack([r1 + np.linalg.norm(samples - rx, axis=-1) for rx in ends], axis=1)
+    path /= scene.wavelength  # (P, antenna, across, up)
+    across = np.abs(path[:, :, 0] - path[:, :, 1]) + np.abs(path[:, :, 2] - path[:, :, 1])
+    up = np.abs(path[..., 0] - path[..., 1]) + np.abs(path[..., 2] - path[..., 1])
+    sweep = np.stack([across.max(axis=(1, 2)), up.max(axis=(1, 2))], axis=1)
+    return rule_orders(sweep, density).astype(int)
+
+
+def check_orders(across, up) -> None:
+    """Raise ValueError when the (across, up) grid exceeds a budget.
+
+    The budgets are ``MAX_GRID_NODES`` on the ``across * ceil(up / 2)`` nodes
+    that ``discretize_sheet`` builds and ``MAX_ORDER`` on either order. Float
+    and infinite orders are read as given, so a bound can be checked.
+    """
+    nodes = across * np.ceil(up / 2.0)
     if nodes > MAX_GRID_NODES:
         raise ValueError(
-            f"quadrature grid of {nodes:,.0f} nodes at step {step:g} wavelengths exceeds "
+            f"quadrature grid of {nodes:,.0f} nodes ({across:,.0f} x {up:,.0f}) exceeds "
             f"the budget of {MAX_GRID_NODES:,} nodes"
         )
-    if max(ny, nz) > MAX_ORDER:
+    if max(across, up) > MAX_ORDER:
         raise ValueError(
-            f"quadrature order {max(ny, nz):,.0f} along the sheet at step {step:g} wavelengths "
-            f"exceeds the cap of {MAX_ORDER:,} nodes per axis"
+            f"quadrature order {max(across, up):,.0f} along the sheet exceeds the cap of "
+            f"{MAX_ORDER:,} nodes per axis"
         )
-    return int(ny), int(nz)
 
 
-def discretize_sheet(target: TargetSheet, scene: Scene, step: float = MAX_STEP) -> QuadratureGrid:
+def discretize_sheet(target: TargetSheet, scene: Scene, orders=None) -> QuadratureGrid:
     """Tensor Gauss-Legendre rule on the (possibly rotated) sheet, folded about z = h.
 
-    Each sheet axis of length 2a gets ``ceil(2a / (step * lambda))`` nodes
-    (``grid_cells``), so ``step`` is the mean node spacing in wavelengths.
+    ``orders`` is (across, up), the orders along the sheet's width and
+    height; by default the sheet's ``sheet_orders``. Raises ValueError
+    before allocation when the grid exceeds a budget (``check_orders``).
     Only the nodes with z >= h are built, each at twice its weight, but the
     node at z = h of an odd order keeps its own weight; the weights sum to
     the sheet area.
     """
-    ny, nz = grid_cells(target, scene, step)
+    if orders is None:
+        orders = sheet_orders(scene, [target])[0]
+    ny, nz = (int(n) for n in orders)
+    if min(ny, nz) < 1:
+        raise ValueError(f"quadrature orders must be positive, got {ny} x {nz}")
+    check_orders(ny, nz)
     ay, az = target.half_width, target.half_height
     u, wu = gauss_legendre(ny)
     # The TX, every antenna and the sheet centre share z = h, so r1 and r2 are

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import __version__
 from .array_model import array_factor, planar_steering, uniform_weights
-from .em_model import excess_attenuation_db
+from .em_model import DEFAULT_REL_TOL, excess_attenuation_db
 from .geometry import (
-    MAX_STEP, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, grid_cells,
+    MAX_STEP, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, check_orders, rule_orders,
+    sheet_orders,
 )
 from .sensing import (
     attenuation_spectrum_from_snapshots, doa_grid, mean_attenuation_from_snapshots, observe,
@@ -62,8 +63,8 @@ class ScenarioConfig:
     target_rotation: float
     positions: tuple[tuple[float, float], ...]
     n_fft: int
-    quadrature_step: float  # wavelengths
-    quadrature_rel_tol: float | None
+    quadrature_step: float  # wavelengths; the rule's orders are scaled by MAX_STEP / step
+    quadrature_rel_tol: float
     outputs: tuple[str, ...]
     array_factor_spacings: tuple[float, ...]
     array_factor_points: int
@@ -126,7 +127,7 @@ _REQUIRED = object()
 # default, integer, lower bound, upper bound). The default is _REQUIRED, None
 # (optional) or a value. A float lower bound is exclusive (all are 0:
 # "positive"), an upper bound and integer bounds inclusive, None none. The
-# quadrature step's bound is the grid's lambda/10 cap; the others keep a run
+# quadrature step's bound is the rule's own node density; the others keep a run
 # within a few hundred MB.
 _NUMBERS = {
     "scene.carrier_frequency_hz": ("carrier_frequency", _REQUIRED, False, 0.0, None),
@@ -138,7 +139,7 @@ _NUMBERS = {
     "target.rotation_deg": ("target_rotation", 0.0, False, None, None),  # radians once read
     "processing.n_fft": ("n_fft", 257, True, None, 2**20),  # >= the array size, checked below
     "processing.quadrature_step_wavelengths": ("quadrature_step", MAX_STEP, False, 0.0, MAX_STEP),
-    "processing.quadrature_rel_tol": ("quadrature_rel_tol", None, False, 0.0, None),
+    "processing.quadrature_rel_tol": ("quadrature_rel_tol", DEFAULT_REL_TOL, False, 0.0, None),
     "array_factor.gamma_points": ("array_factor_points", 721, True, 3, 100_001),
 }
 # The format's list-valued keys, each read by hand in parse_scenario.
@@ -156,6 +157,8 @@ def _keys_by_section() -> dict[str, set[str]]:
 
 
 _KEYS = _keys_by_section()
+# Problems listed per list-valued key; the rest are counted, so a message stays small.
+_LISTED_PER_KEY = 5
 
 
 def _number(value, label: str, errors: list, default=_REQUIRED, integer: bool = False):
@@ -186,6 +189,15 @@ def _typed(value, kind: type, label: str, errors: list, default):
         errors.append(f"{label} must be {'an object' if kind is dict else 'a list'}")
         return kind()
     return value
+
+
+def _capped(problems: list[str], label: str) -> list[str]:
+    """The first ``_LISTED_PER_KEY`` of one key's problems, then a count of the rest."""
+    if len(problems) <= _LISTED_PER_KEY:
+        return problems
+    rest = len(problems) - _LISTED_PER_KEY
+    return [*problems[:_LISTED_PER_KEY],
+            f"{label}: {rest:,} more problems, {len(problems):,} in all"]
 
 
 def _quoted(text: str) -> str:
@@ -249,20 +261,22 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     positions: list[tuple[float, float]] = []
     first_with_tag: dict[str, int] = {}
     label = "target.positions_m"
+    bad: list[str] = []
     for i, p in enumerate(_typed(sections["target"].get("positions_m"), list, label, errors, [])):
         if not isinstance(p, list) or len(p) != 2:
-            errors.append(f"{label}[{i}] must be an [x, y] pair")
+            bad.append(f"{label}[{i}] must be an [x, y] pair")
             continue
-        positions.append(tuple(_number(v, f"{label}[{i}]", errors) for v in p))
+        positions.append(tuple(_number(v, f"{label}[{i}]", bad) for v in p))
         x = positions[-1][0]
         if x - reach <= 0.0 or x + reach >= d0:
-            errors.append(
+            bad.append(
                 f"{label}[{i}]: the sheet spans x = {x - reach:g} to {x + reach:g} m, not "
                 f"strictly between the transmitter (x = 0) and the array (x = {d0:g} m)"
             )
         j = first_with_tag.setdefault(_position_tag(*positions[-1]), i)
         if j != i:
-            errors.append(f"{label}[{j}] and [{i}] match to the mm and would share export files")
+            bad.append(f"{label}[{j}] and [{i}] match to the mm and would share export files")
+    errors += _capped(bad, label)
 
     if fields["n_fft"] < 2 * fields["half_count"] + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
@@ -271,15 +285,17 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if not outputs:
         errors.append("outputs: at least one output kind is required")
     first_with_kind: dict[str, int] = {}
+    bad = []
     for i, kind in enumerate(outputs):
         if not isinstance(kind, str):
-            errors.append(f"outputs[{i}] must be a string")
+            bad.append(f"outputs[{i}] must be a string")
         elif kind not in OUTPUT_KINDS:
-            errors.append(
+            bad.append(
                 f"outputs: unknown kind {_quoted(kind)} (choose from {', '.join(OUTPUT_KINDS)})"
             )
         elif (j := first_with_kind.setdefault(kind, i)) != i:
-            errors.append(f"outputs[{j}] and [{i}] repeat one kind")
+            bad.append(f"outputs[{j}] and [{i}] repeat one kind")
+    errors += _capped(bad, "outputs")
 
     if any(k != "array_factor" for k in outputs):
         if fields["target_half_width"] is None or fields["target_half_height"] is None:
@@ -288,17 +304,19 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             errors.append(f"{label} must be non-empty for attenuation outputs")
 
     label = "array_factor.spacings_wavelengths"
+    bad = []
     af_spacings = tuple(
-        _number(s, label, errors) * wavelength
+        _number(s, label, bad) * wavelength
         for s in _typed(sections["array_factor"].get("spacings_wavelengths"), list, label, errors, [0.5])
     )
     if any(s <= 0.0 or s == math.inf for s in af_spacings):
-        errors.append(f"{label} must be positive and finite")
+        bad.append(f"{label} must be positive and finite")
     first_with_tag = {}
     for i, s in enumerate(af_spacings):
         j = first_with_tag.setdefault(_spacing_tag(s, wavelength), i)
         if j != i and not math.isnan(s):
-            errors.append(f"{label}[{j}] and [{i}] would share export files")
+            bad.append(f"{label}[{j}] and [{i}] would share export files")
+    errors += _capped(bad, label)
 
     # per position: at most n_fft DoA bins, one value per antenna, the mean
     per_position = zip(("doa_spectrum", "per_antenna_attenuation", "mean_attenuation"),
@@ -316,12 +334,19 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     config = ScenarioConfig(
         **fields, positions=tuple(positions), outputs=outputs, array_factor_spacings=af_spacings
     )
-    scene = config.scene()  # surfaces the spacing <= lambda/4 coupling warning
-    if any(k != "array_factor" for k in outputs):  # then a sheet and positions are set
-        try:  # every position has the same sheet, so one check covers the start grid
-            grid_cells(config.target_at(*positions[0]), scene, config.quadrature_step)
+    config.scene()  # surfaces the spacing <= lambda/4 coupling warning
+    if any(k != "array_factor" for k in outputs):  # then a sheet is set
+        # Each half-axis moves r1 + r2 by at most 2a, so no position's path sweep
+        # exceeds 4a: a bound on every start grid that costs the same for any run.
+        step = config.quadrature_step
+        sweeps = 4.0 * np.array([config.target_half_width, config.target_half_height]) / wavelength
+        try:
+            check_orders(*rule_orders(sweeps, MAX_STEP / step))
         except ValueError as e:
-            raise ScenarioError(f"{source}: invalid scenario\n  - processing: {e}") from e
+            raise ScenarioError(
+                f"{source}: invalid scenario\n  - processing: the start grids' bound at "
+                f"quadrature step {step:g} wavelengths: {e}"
+            ) from e
     return config
 
 
@@ -335,15 +360,26 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(text, source=str(path))
 
 
+def start_orders(config: ScenarioConfig, scene: Scene, positions) -> np.ndarray:
+    """Start orders (across, up) of the sheet solve at each of ``positions``, one row each.
+
+    The rule's orders (``geometry.sheet_orders``) at the density
+    ``MAX_STEP / quadrature_step``, for all positions in one call.
+    """
+    targets = [config.target_at(x, y) for x, y in positions]
+    return sheet_orders(scene, targets, MAX_STEP / config.quadrature_step)
+
+
 def _position_blocks(
-    config: ScenarioConfig, scene: Scene, gamma_deg: np.ndarray | None, xy: tuple[float, float]
+    config: ScenarioConfig, scene: Scene, gamma_deg: np.ndarray | None,
+    xy: tuple[float, float], orders: np.ndarray,
 ) -> list[Block]:
     """The blocks of one position; ``gamma_deg`` is the run's DoA grid, shared read-only."""
     x, y = xy
     tag = _position_tag(x, y)
     try:
         obs = observe(
-            scene, config.target_at(x, y), config.quadrature_step, config.quadrature_rel_tol
+            scene, config.target_at(x, y), rel_tol=config.quadrature_rel_tol, orders=orders
         )
 
         # quantities in name order, each by ascending index: the export order
@@ -396,8 +432,9 @@ def run(config: ScenarioConfig) -> ResultTable:
         gamma_deg = np.degrees(doa_grid(scene.array.spacing, scene.wavelength, config.n_fft)[1])
         gamma_deg.flags.writeable = False
     if any(k != "array_factor" for k in config.outputs):
-        for xy in sorted(config.positions):
-            blocks.extend(_position_blocks(config, scene, gamma_deg, xy))
+        positions = sorted(config.positions)
+        for xy, orders in zip(positions, start_orders(config, scene, positions)):
+            blocks.extend(_position_blocks(config, scene, gamma_deg, xy, orders))
     return ResultTable(blocks=tuple(blocks), config_hash=config.config_hash(), version=__version__)
 
 

@@ -2,8 +2,9 @@
 
 The reference field at the central antenna is normalized to 1: every
 quantity exposed here is a ratio in which the absolute transmit level
-cancels. ``observe`` solves the sheet once per target and returns the
-empty and occupied snapshots every other quantity is derived from.
+cancels. ``observe`` makes one checked sheet solve per target and returns
+the empty and occupied snapshots every other quantity is derived from,
+with the solve's quadrature report.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .array_model import nearfield_steering
-from .em_model import converged_field_ratio_vector, field_ratio_vector
-from .geometry import MAX_STEP, Scene, TargetSheet, discretize_sheet
+from .em_model import DEFAULT_REL_TOL, QuadratureReport, converged_field_ratio_vector
+from .geometry import Scene, TargetSheet
 
 
 @dataclass(frozen=True)
@@ -52,34 +53,31 @@ def boresight_steering(scene: Scene) -> np.ndarray:
 
 
 class Observation(NamedTuple):
-    """One solve of the sheet: field ratios and the two received vectors."""
+    """One checked solve of the sheet: field ratios, the two received vectors, the report."""
 
     ratios: np.ndarray    # E/E_ref per antenna, m = -M .. +M
     empty: np.ndarray     # broadside near-field response, the empty scene
     occupied: np.ndarray  # empty * ratios, the scene with the target present
+    quadrature: QuadratureReport  # the solve's orders, nodes and check; never exported
 
 
 def observe(
     scene: Scene,
     target: TargetSheet,
-    step: float = MAX_STEP,
-    rel_tol: float | None = None,
+    *,
+    rel_tol: float = DEFAULT_REL_TOL,
+    orders=None,
 ) -> Observation:
     """Solve the sheet integral once and form the empty and occupied snapshots.
 
-    The sheet is solved on the ``discretize_sheet`` grid at node spacing
-    ``step`` wavelengths (default lambda/10). With ``rel_tol`` that solve is
-    checked against one at twice the step, and the step is halved until two
-    successive solves agree to ``rel_tol`` (``converged_field_ratio_vector``);
-    when the first check passes, the ratios are those of the solve without
+    One checked solve (``converged_field_ratio_vector``): the sheet's start
+    orders (``orders``, by default ``geometry.sheet_orders`` at density 1),
+    doubled until the solve and its check at 4 fewer nodes per axis agree to
     ``rel_tol``. Noiseless.
     """
-    if rel_tol is not None:
-        ratios, _ = converged_field_ratio_vector(scene, target, rel_tol, step)
-    else:
-        ratios = field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
+    ratios, report = converged_field_ratio_vector(scene, target, rel_tol, orders)
     empty = boresight_steering(scene)
-    return Observation(ratios, empty, empty * ratios)
+    return Observation(ratios, empty, empty * ratios, report)
 
 
 def mean_attenuation_from_snapshots(

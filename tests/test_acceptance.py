@@ -29,6 +29,7 @@ from arrayshadow.oracles import (
     knife_edge_attenuation,
     knife_edge_parameter,
 )
+from arrayshadow.geometry import sheet_orders
 from arrayshadow.presets import load_preset
 from arrayshadow.runner import export, run
 from conftest import WAVELENGTH, make_paper_scene, make_paper_target, observed_spectrum
@@ -242,8 +243,9 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
 
     target = make_paper_target(1.0, 0.0)
     converged, _ = converged_on_los
-    coarse = observe(scene, target, 0.1 / 16).ratios  # the lambda/160 grid
-    grid_change = float(np.max(np.abs(converged - coarse) / np.abs(converged)))
+    dense_orders = sheet_orders(scene, [target], 16.0)[0]  # 16 times the rule's density
+    dense = observe(scene, target, orders=dense_orders).ratios
+    grid_change = float(np.max(np.abs(converged - dense) / np.abs(converged)))
     quad_ok = grid_change < 1e-4
 
     plus = observed_spectrum(scene, make_paper_target(1.0, 0.4))
@@ -265,6 +267,6 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
         "criterion 10",
         ok,
         f"rank-1/PSD on 50 targets: {rank_ok}; "
-        f"change against the lambda/160 grid {grid_change:.1e} (< 1e-4); "
+        f"change against 16 times the node density {grid_change:.1e} (< 1e-4); "
         f"mirror error {mirror_err:.1e} (< 1e-6); byte-identical reruns: {bytes_ok}",
     )

@@ -55,7 +55,7 @@ def test_tracer_resolves_and_counts_a_converged_desk_run(tmp_path):
     metrics = tracing.summarize(tracer.spans)
     assert metrics["runner.run.rows"] > 0
     assert metrics["runner.export.files"] == 3
-    # two folded grids, at steps lambda/5 and lambda/10: 874 + 3,450
-    assert metrics["geometry.discretize_sheet.nodes"] == 4_324
-    assert metrics["em_model.field_ratio_vector.node_antennas"] == 4_324 * 5
+    # two folded grids, the check and the start orders' solve: 16 x 18 + 20 x 20 = 688
+    assert metrics["geometry.discretize_sheet.nodes"] == 688
+    assert metrics["em_model.field_ratio_vector.node_antennas"] == 688 * 5
     assert metrics["em_model.converged_field_ratio_vector.refinements"] == 1

@@ -18,7 +18,7 @@ from arrayshadow import (
     excess_attenuation_db,
     field_ratio_vector,
 )
-from arrayshadow.geometry import gauss_legendre, grid_cells
+from arrayshadow.geometry import gauss_legendre, sheet_orders
 from arrayshadow.oracles import dense_quadrature_field_ratio, free_space_ratio_vector
 from conftest import CARRIER_HZ, WAVELENGTH, make_paper_scene, make_paper_target
 
@@ -93,7 +93,7 @@ class TestFieldRatio:
         # so the peak does not grow with the antenna count
         scene = make_paper_scene(half_count)
         target = make_paper_target()
-        grid = discretize_sheet(target, scene, 0.0058)  # 787 x 2,575 nodes, folded
+        grid = discretize_sheet(target, scene, (787, 2_575))  # folded to 787 x 1,288 nodes
         tracemalloc.start()
         try:
             field_ratio_vector(scene, target, grid)
@@ -103,13 +103,19 @@ class TestFieldRatio:
         assert len(grid.areas) == 1_013_656
         assert peak < 24 * len(grid.areas) + 1_000_000
 
-    def test_block_size_leaves_every_bit_unchanged(self, paper_scene, monkeypatch):
+    @pytest.mark.parametrize("half_count", [0, 2, 8])
+    def test_block_size_leaves_every_bit_unchanged(self, half_count, monkeypatch):
+        scene = make_paper_scene(half_count)
         target = make_paper_target(1.0, 0.25)
-        grid = discretize_sheet(target, paper_scene)
-        monkeypatch.setattr(em_model, "_BLOCK_NODES", len(grid.areas))
-        whole = field_ratio_vector(paper_scene, target, grid)
-        monkeypatch.setattr(em_model, "_BLOCK_NODES", 7)  # 3,450 nodes: ragged last block
-        assert np.array_equal(field_ratio_vector(paper_scene, target, grid), whole)
+        grid = discretize_sheet(target, scene, (44, 92))
+        nodes, antennas = len(grid.areas), 2 * half_count + 1
+        monkeypatch.setattr(em_model, "_BLOCK_NODE_ANTENNAS", nodes * antennas)
+        whole = field_ratio_vector(scene, target, grid)  # every antenna in one block
+        # groups of 3 antennas (the last one ragged at 17); one antenna per whole-grid
+        # block; one antenna in 7-node blocks (2,024 nodes: the last one ragged)
+        for budget in (3 * nodes, nodes, 7):
+            monkeypatch.setattr(em_model, "_BLOCK_NODE_ANTENNAS", budget)
+            assert np.array_equal(field_ratio_vector(scene, target, grid), whole)
 
     def test_full_plane_sheet_kills_the_field(self, paper_scene):
         # 40-wavelength square centered on the LoS; residual is edge leakage
@@ -167,82 +173,113 @@ class TestExcessAttenuation:
             assert b == pytest.approx(a, rel=1e-9)
 
 
+def recording_orders(monkeypatch) -> list[tuple[int, int]]:
+    """The orders of every grid the checked solve builds, in build order."""
+    orders = []
+
+    def recording_discretize_sheet(target, scene, given):
+        orders.append(tuple(int(n) for n in given))
+        return discretize_sheet(target, scene, given)
+
+    monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
+    return orders
+
+
 class TestQuadratureConvergence:
     @pytest.mark.parametrize("half_count", [2, 8])
     @pytest.mark.parametrize("x, y, rotation_deg", [
         (0.5, -0.4, -30.0), (1.0, 0.0, 0.0), (2.0, 0.3, 30.0), (3.5, -0.1, 30.0),
     ])
-    def test_default_step_agrees_with_a_quarter_step(self, half_count, x, y, rotation_deg):
-        # a midpoint rule at these node counts differs by about 1.6e-2
+    def test_start_orders_agree_with_four_times_the_density(self, half_count, x, y, rotation_deg):
         scene = make_paper_scene(half_count)
         target = make_paper_target(x, y, np.radians(rotation_deg))
-        default, quarter = (
-            field_ratio_vector(scene, target, discretize_sheet(target, scene, step))
-            for step in (0.1, 0.025)
+        start, dense = (
+            field_ratio_vector(scene, target,
+                               discretize_sheet(target, scene, sheet_orders(scene, [target], d)[0]))
+            for d in (1.0, 4.0)
         )
-        assert_allclose(default, quarter, rtol=1e-10)
+        assert_allclose(start, dense, rtol=1e-11)
 
-    def test_start_step_is_where_refinement_begins(self, paper_scene, monkeypatch):
-        steps = []
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        x=st.floats(0.5, 3.5),
+        y=st.floats(-1.2, 1.2),
+        rotation_deg=st.floats(-30.0, 30.0),
+        half_count=st.sampled_from([2, 4, 8]),
+    )
+    def test_desk_solves_hold_without_doubling(self, x, y, rotation_deg, half_count):
+        scene = make_paper_scene(half_count)
+        target = make_paper_target(x, y, np.radians(rotation_deg))
+        ratios, report = converged_field_ratio_vector(scene, target)
+        assert report.orders == tuple(sheet_orders(scene, [target])[0])
+        reference = field_ratio_vector(scene, target, discretize_sheet(target, scene, (96, 192)))
+        assert_allclose(ratios, reference, rtol=1e-11)
 
-        def recording_discretize_sheet(target, scene, step):
-            steps.append(step)
-            return discretize_sheet(target, scene, step)
-
-        monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
+    def test_the_check_comes_first_at_four_fewer_nodes(self, paper_scene, monkeypatch):
+        orders = recording_orders(monkeypatch)
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
-        converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4, step=0.05)
-        assert steps == [0.1, 0.05]  # the check at twice the step comes first
+        converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4, orders=(24, 40))
+        assert orders == [(20, 36), (24, 40)]
 
-    def test_refinement_halves_the_step_until_two_solves_agree(self, paper_scene, monkeypatch):
-        steps = []
-
-        def recording_discretize_sheet(target, scene, step):
-            steps.append(step)
-            return discretize_sheet(target, scene, step)
-
-        monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
-        # a wide sheet near the transmitter: steps 0.2 and 0.1 differ by about 1e-7
-        target = TargetSheet((0.1, 0.0), 0.5, 1.0)
-        ratios, change = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-8)
-        assert steps == [0.2, 0.1, 0.05]
-        assert change < 1e-12
-        grid = discretize_sheet(target, paper_scene, 0.05)
+    @pytest.mark.parametrize("x, expected", [
+        # near the ends the rule's nine samples miss the 1/r growth, and the check flags it
+        (0.02, [(24, 64), (28, 68), (52, 132), (56, 136), (108, 268), (112, 272),
+                (220, 540), (224, 544)]),
+        (0.1, [(24, 60), (28, 64), (52, 124), (56, 128)]),
+        (3.9, [(20, 56), (24, 60), (44, 116), (48, 120)]),
+        (3.98, [(20, 60), (24, 64), (44, 124), (48, 128), (92, 252), (96, 256),
+                (188, 508), (192, 512)]),
+    ])
+    def test_near_the_ends_both_orders_double_until_the_check_holds(
+        self, paper_scene, monkeypatch, x, expected
+    ):
+        orders = recording_orders(monkeypatch)
+        target = make_paper_target(x, 0.0)
+        ratios, report = converged_field_ratio_vector(paper_scene, target)
+        monkeypatch.undo()
+        assert orders == expected
+        assert report.orders == expected[-1] and report.change < 1e-9
+        grid = discretize_sheet(target, paper_scene, expected[-1])
+        assert report.nodes == len(grid.areas)
         assert np.array_equal(ratios, field_ratio_vector(paper_scene, target, grid))
+        # the returned solve is good to rel_tol against one at twice its orders
+        twice = discretize_sheet(target, paper_scene, [2 * n for n in expected[-1]])
+        assert_allclose(ratios, field_ratio_vector(paper_scene, target, twice), rtol=1e-9)
 
-    @pytest.mark.parametrize("step", [0.0, 0.1000001, np.nan])
-    def test_step_outside_zero_to_a_tenth_wavelength_rejected(self, paper_scene, step):
-        with pytest.raises(ValueError, match=r"step must be in \(0, 0.1\]"):
-            converged_field_ratio_vector(paper_scene, make_paper_target(), step=step)
+    @pytest.mark.parametrize("orders", [(4, 40), (20, 4), (0, 0)])
+    def test_orders_of_four_or_less_rejected(self, paper_scene, orders):
+        with pytest.raises(ValueError, match="orders must exceed 4"):
+            converged_field_ratio_vector(paper_scene, make_paper_target(), orders=orders)
 
-    def test_returned_change_is_that_of_the_last_two_solves(self, paper_scene, converged_on_los):
-        ratios, change = converged_on_los
+    def test_returned_change_is_that_of_the_last_pair(self, paper_scene, converged_on_los):
+        ratios, report = converged_on_los
         target = make_paper_target()
-        coarse, fine = (
-            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, step))
-            for step in (0.2, 0.1)
+        check, fine = (
+            field_ratio_vector(paper_scene, target, discretize_sheet(target, paper_scene, orders))
+            for orders in ((16, 36), (20, 40))
         )
-        assert np.array_equal(ratios, fine)  # the default-step solve, kept
-        assert change == np.max(np.abs(fine - coarse) / np.abs(fine))
-        assert change < 1e-10
+        assert report.orders == (20, 40) and report.nodes == 400
+        assert np.array_equal(ratios, fine)  # the start orders' solve, kept
+        assert report.change == np.max(np.abs(fine - check) / np.abs(fine))
+        assert report.change < 1e-10
+
+    def test_a_looser_tolerance_never_returns_a_coarser_grid(self, paper_scene):
+        target = make_paper_target(1.0, 0.3)
+        strict = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-12)
+        loose = converged_field_ratio_vector(paper_scene, target, rel_tol=1.0)
+        assert loose[1].orders == strict[1].orders
+        assert np.array_equal(loose[0], strict[0])
 
     def test_on_los_solve_stops_after_two_grids(self, paper_scene, monkeypatch):
-        nodes = []
-
-        def counting_discretize_sheet(*args):
-            grid = discretize_sheet(*args)
-            nodes.append(len(grid.areas))
-            return grid
-
-        monkeypatch.setattr(em_model, "discretize_sheet", counting_discretize_sheet)
-        converged_field_ratio_vector(paper_scene, make_paper_target(), rel_tol=1e-4)
-        assert nodes == [874, 3_450]  # 23 x 75 and 46 x 150 nodes, folded
+        orders = recording_orders(monkeypatch)
+        converged_field_ratio_vector(paper_scene, make_paper_target())
+        assert orders == [(16, 36), (20, 40)]  # 288 + 400 nodes, folded
 
     def test_meets_tolerance_against_a_finer_estimate(self, paper_scene):
         target = TargetSheet((1.0, 0.1), 0.1, 0.2)
-        ratios, _ = converged_field_ratio_vector(paper_scene, target, rel_tol=1e-4)
-        grid = discretize_sheet(target, paper_scene, 0.1 / 32)
-        assert_allclose(ratios, field_ratio_vector(paper_scene, target, grid), rtol=1e-5)
+        ratios, _ = converged_field_ratio_vector(paper_scene, target)
+        grid = discretize_sheet(target, paper_scene, (128, 128))
+        assert_allclose(ratios, field_ratio_vector(paper_scene, target, grid), rtol=1e-9)
 
     def test_agrees_with_dense_oracle_on_desk_geometries(self, paper_scene, converged_on_los):
         for y in (-0.25, 0.0, 0.25):
@@ -267,9 +304,9 @@ SHEETS = dict(
 )
 
 
-def full_gauss_legendre_grid(scene: Scene, target: TargetSheet) -> QuadratureGrid:
-    """The default-step Gauss-Legendre grid over the whole sheet, below the link plane too."""
-    ny, nz = grid_cells(target, scene)
+def full_gauss_legendre_grid(scene: Scene, target: TargetSheet, orders) -> QuadratureGrid:
+    """The Gauss-Legendre grid at ``orders`` over the whole sheet, below the link plane too."""
+    ny, nz = orders
     ay, az = target.half_width, target.half_height
     (u, wu), (v, wv) = gauss_legendre(ny), gauss_legendre(nz)
     uu, vv = (a.ravel() for a in np.meshgrid(ay * u, az * v, indexing="ij"))
@@ -281,7 +318,7 @@ def full_gauss_legendre_grid(scene: Scene, target: TargetSheet) -> QuadratureGri
 
 
 def scaled_solve(scale, x, y, theta, half_width, half_height, half_count):
-    """Default-step field ratios of a desk link with every length and the wavelength times scale."""
+    """Start-order field ratios of a desk link with every length and the wavelength times scale."""
     scene = Scene(
         CARRIER_HZ / scale,
         ArraySpec(half_count, scale * WAVELENGTH / 2.0, scale * 4.0),
@@ -295,7 +332,7 @@ class TestPhysicsInvariants:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(scale=st.floats(0.25, 4.0), **SHEETS)
     def test_scaling_lengths_with_the_wavelength_leaves_ratios(self, scale, **sheet):
-        # the node counts depend only on the sheet size in wavelengths; the ratios are
+        # the orders depend only on the layout in wavelengths; the ratios are
         # relative to the free-space field, so atol is 1e-12 of the unblocked field
         assert_allclose(
             scaled_solve(scale, **sheet), scaled_solve(1.0, **sheet), rtol=1e-12, atol=1e-12
@@ -320,14 +357,14 @@ class TestPhysicsInvariants:
     def test_folded_grid_matches_the_full_sheet(
         self, parity, link_height, half_rows, x, y, theta, half_width, half_count
     ):
-        # the half-height is set so that the vertical order is 2 * half_rows + parity
-        half_height = (2 * half_rows + parity - 0.5) * 0.1 * WAVELENGTH / 2.0
+        # the vertical order is 2 * half_rows + parity, at the mean spacing lambda/10
+        half_height = (2 * half_rows + parity) * 0.1 * WAVELENGTH / 2.0
         scene = Scene(CARRIER_HZ, ArraySpec(half_count, WAVELENGTH / 2.0, 4.0), link_height)
         target = TargetSheet((x, y), half_width, half_height, theta)
-        assert grid_cells(target, scene)[1] % 2 == parity
+        orders = (sheet_orders(scene, [target])[0][0], 2 * half_rows + parity)
         assert_allclose(
-            field_ratio_vector(scene, target),
-            field_ratio_vector(scene, target, full_gauss_legendre_grid(scene, target)),
+            field_ratio_vector(scene, target, discretize_sheet(target, scene, orders)),
+            field_ratio_vector(scene, target, full_gauss_legendre_grid(scene, target, orders)),
             rtol=1e-12,
         )
 

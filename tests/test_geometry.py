@@ -8,8 +8,15 @@ from arrayshadow import (
     TargetSheet,
     antenna_positions,
     discretize_sheet,
+    geometry,
 )
-from arrayshadow.geometry import gauss_legendre, grid_cells
+from arrayshadow.geometry import (
+    ORDER_MARGIN,
+    check_orders,
+    gauss_legendre,
+    rule_orders,
+    sheet_orders,
+)
 from arrayshadow.presets import load_preset
 from conftest import WAVELENGTH, make_paper_target
 
@@ -53,8 +60,7 @@ class TestDiscretizeSheet:
     def test_four_point_rule_on_each_axis(self):
         scene = Scene(1e8, ArraySpec(0, 1.0, 4.0))  # 3 m wavelength: nodes 0.3 m apart on average
         target = TargetSheet((1.0, 0.0), 0.5, 0.5)
-        assert grid_cells(target, scene) == (4, 4)
-        grid = discretize_sheet(target, scene)
+        grid = discretize_sheet(target, scene, (4, 4))
         # the 2 nodes above the link plane are built at twice their weight
         assert grid.points.shape == (8, 3)
         assert_allclose(np.unique(grid.points[:, 2]), 0.5 * GL4_NODES, rtol=1e-14)
@@ -62,18 +68,16 @@ class TestDiscretizeSheet:
         assert_allclose(grid.areas, np.outer(across, 2.0 * 0.5 * GL4_WEIGHTS).ravel(), rtol=1e-14)
 
     def test_paper_grid_shape_and_area(self, paper_scene):
-        grid = discretize_sheet(make_paper_target(), paper_scene, 0.1)
-        assert grid.points.shape[0] == 46 * 75  # 150 nodes up the sheet, folded
+        assert sheet_orders(paper_scene, [make_paper_target()]).tolist() == [[20, 40]]
+        grid = discretize_sheet(make_paper_target(), paper_scene)
+        assert grid.points.shape[0] == 20 * 20  # 40 nodes up the sheet, folded
         assert grid.areas.sum() == pytest.approx(0.99, rel=1e-12)
 
-    def test_halving_the_step_about_doubles_the_orders(self, paper_scene):
+    def test_density_scales_the_orders(self, paper_scene):
         target = make_paper_target(1.0, 0.3)
-        steps = (0.1, 0.05, 0.025)
-        assert [grid_cells(target, paper_scene, s) for s in steps] == [
-            (46, 150), (92, 299), (183, 598),
-        ]
-        assert [len(discretize_sheet(target, paper_scene, s).areas) for s in steps] == [
-            3_450, 13_800, 54_717,
+        densities = (1.0, 2.0, 4.0, 32.0)
+        assert [sheet_orders(paper_scene, [target], d).tolist() for d in densities] == [
+            [[20, 40]], [[40, 80]], [[80, 156]], [[640, 1_248]],
         ]
 
     def test_area_sum_exact(self, paper_scene):
@@ -83,15 +87,16 @@ class TestDiscretizeSheet:
             target = TargetSheet((1.5, 0.3), ay, az, rotation=rng.uniform(0, np.pi))
             grid = discretize_sheet(target, paper_scene)
             assert grid.areas.sum() == pytest.approx(4 * ay * az, rel=1e-12)
-            ny, nz = grid_cells(target, paper_scene)
+            ny, nz = sheet_orders(paper_scene, [target])[0]
             assert len(grid.areas) == ny * -(-nz // 2)  # the nodes at or above the link plane
 
-    @pytest.mark.parametrize("half_width, half_height", [(0.5, 0.5), (0.3, 0.45), (0.8, 0.3)])
-    def test_rule_integrates_the_top_even_degree_exactly(self, half_width, half_height):
-        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0), link_height=0.7)  # 0.3 m mean node spacing
+    @pytest.mark.parametrize("half_width, half_height, ny, nz", [
+        (0.5, 0.5, 4, 4), (0.3, 0.45, 2, 3), (0.8, 0.3, 6, 2),
+    ])
+    def test_rule_integrates_the_top_even_degree_exactly(self, half_width, half_height, ny, nz):
+        scene = Scene(1e8, ArraySpec(0, 1.0, 4.0), link_height=0.7)
         target = TargetSheet((1.5, -0.2), half_width, half_height, rotation=0.4)
-        ny, nz = grid_cells(target, scene)
-        grid = discretize_sheet(target, scene)
+        grid = discretize_sheet(target, scene, (ny, nz))
         offsets = grid.points - [1.5, -0.2, 0.7]
         y = offsets @ [-np.sin(0.4), np.cos(0.4), 0.0]  # along the sheet's in-plane axis
         z = offsets[:, 2]
@@ -104,9 +109,8 @@ class TestDiscretizeSheet:
 
     def test_odd_order_keeps_the_middle_node_once(self):
         scene = Scene(1e8, ArraySpec(0, 1.0, 4.0), link_height=1.0)
-        target = TargetSheet((1.0, 0.0), 0.5, 0.3)  # 4 x 3 nodes
-        assert grid_cells(target, scene) == (4, 3)
-        grid = discretize_sheet(target, scene)
+        target = TargetSheet((1.0, 0.0), 0.5, 0.3)
+        grid = discretize_sheet(target, scene, (4, 3))
         assert grid.points.shape == (8, 3)
         # the three-point rule: nodes 0 and +-sqrt(3/5), weights 8/9 and 5/9
         up = 1.0 + 0.3 * np.array([0.0, np.sqrt(0.6)])
@@ -116,14 +120,13 @@ class TestDiscretizeSheet:
                         rtol=1e-14)
 
     @pytest.mark.parametrize("rotation_deg", [0.0, 30.0, -30.0])
-    @pytest.mark.parametrize("half_height, up", [(0.9, 150), (0.885, 147)])
+    @pytest.mark.parametrize("half_height, nz", [(0.9, 40), (0.885, 39)])
     def test_points_are_the_broadcast_in_contiguous_columns(
-        self, paper_scene, rotation_deg, half_height, up
+        self, paper_scene, rotation_deg, half_height, nz
     ):
         target = TargetSheet((1.3, -0.2), 0.275, half_height, np.radians(rotation_deg))
-        ny, nz = grid_cells(target, paper_scene)
-        assert nz == up
-        grid = discretize_sheet(target, paper_scene)
+        ny = 20
+        grid = discretize_sheet(target, paper_scene, (ny, nz))
         assert all(grid.points[:, j].flags.c_contiguous for j in range(3))
         u, v = gauss_legendre(ny)[0], gauss_legendre(nz)[0][nz // 2:]
         yy, zz = np.meshgrid(0.275 * u, half_height * v, indexing="ij")
@@ -133,13 +136,55 @@ class TestDiscretizeSheet:
                     + zz.reshape(-1, 1) * [0.0, 0.0, 1.0])
         assert grid.points.tobytes() == expected.tobytes()  # every bit, the sign of zero too
 
-    def test_mean_node_spacing_never_exceeds_the_step(self, paper_scene):
-        target = make_paper_target()
-        for step in (0.1, 0.05, 0.0125, 0.03):
-            ny, nz = grid_cells(target, paper_scene, step)
-            spacing = step * WAVELENGTH
-            assert 2 * 0.275 / ny <= spacing < 2 * 0.275 / (ny - 1)
-            assert 2 * 0.9 / nz <= spacing < 2 * 0.9 / (nz - 1)
+    @pytest.mark.parametrize("half_count", [0, 2, 8])
+    def test_orders_follow_the_path_sweep_rule(self, half_count):
+        # the rule written out point by point, for one sheet at a time
+        scene = Scene(2.4868e9, ArraySpec(half_count, WAVELENGTH / 2, 4.0), link_height=0.9)
+        rng = np.random.default_rng(11)
+        targets = [
+            TargetSheet((rng.uniform(0.05, 3.95), rng.uniform(-1.5, 1.5)), rng.uniform(0.05, 0.6),
+                        rng.uniform(0.05, 1.2), rng.uniform(-np.pi, np.pi))
+            for _ in range(40)
+        ]
+        ends = antenna_positions(scene)[[0, -1]]
+        expected = []
+        for t in targets:
+            in_plane = np.array([-np.sin(t.rotation), np.cos(t.rotation), 0.0])
+            center = np.array([*t.barycenter, 0.9])
+
+            def path(s_across, s_up, rx):
+                p = center + s_across * t.half_width * in_plane + [0.0, 0.0, s_up * t.half_height]
+                return (np.linalg.norm(p - scene.tx) + np.linalg.norm(p - rx)) / WAVELENGTH
+
+            def sweep(line):  # line(s) is the sample point (s_across, s_up) at s in {-1, 0, 1}
+                return max(abs(path(*line(-1), rx) - path(*line(0), rx))
+                           + abs(path(*line(1), rx) - path(*line(0), rx)) for rx in ends)
+
+            across = max(sweep(lambda s, v=v: (s, v)) for v in (-1, 0, 1))
+            up = max(sweep(lambda s, u=u: (u, s)) for u in (-1, 0, 1))
+            nodes = (int(np.ceil(np.pi * s + ORDER_MARGIN)) for s in (across, up))
+            expected.append([-(-n // 4) * 4 for n in nodes])  # up to a multiple of 4
+        got = sheet_orders(scene, targets)
+        assert got.tolist() == expected
+        assert np.all(got % 4 == 0) and np.all(got >= 16)
+        # one call for all sheets gives each sheet's own orders
+        assert [sheet_orders(scene, [t])[0].tolist() for t in targets] == expected
+
+    def test_no_sheet_exceeds_the_position_free_bound(self, paper_scene):
+        # a half-axis of length a moves r1 + r2 by at most 2a
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            ay, az = rng.uniform(0.01, 2.0, size=2)
+            targets = [TargetSheet((x, y), ay, az, rng.uniform(-np.pi, np.pi))
+                       for x, y in zip(rng.uniform(0.02, 3.98, 50), rng.uniform(-3.0, 3.0, 50))]
+            for density in (1.0, 3.7):
+                bound = rule_orders(4.0 * np.array([ay, az]) / WAVELENGTH, density)
+                assert np.all(sheet_orders(paper_scene, targets, density) <= bound)
+
+    @pytest.mark.parametrize("orders", [(0, 4), (4, 0), (-4, 8)])
+    def test_nonpositive_orders_rejected(self, paper_scene, orders):
+        with pytest.raises(ValueError, match="orders must be positive"):
+            discretize_sheet(make_paper_target(), paper_scene, orders)
 
     def test_right_angle_rotation_contains_los_direction(self, paper_scene):
         target = make_paper_target(1.0, 0.4, rotation=np.pi / 2)
@@ -157,30 +202,42 @@ class TestDiscretizeSheet:
         offsets = (grid.points - center) @ normal
         assert_allclose(offsets, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("step", [0.0, -0.05, 0.2000001, np.inf, np.nan])
-    def test_step_outside_zero_to_a_fifth_wavelength_rejected(self, paper_scene, step):
-        # a fifth: converged mode checks a step of at most a tenth against twice that step
-        target = make_paper_target()
-        with pytest.raises(ValueError, match=r"step must be in \(0, 0.2\]"):
-            grid_cells(target, paper_scene, step)
-        with pytest.raises(ValueError, match="step"):
-            discretize_sheet(target, paper_scene, step)
-
-
     def test_order_cap_admits_the_largest_shipped_and_desk_grids(self, paper_scene):
         knife_edge = load_preset("knife_edge_validation")
-        target = knife_edge.target_at(*knife_edge.positions[0])
-        assert grid_cells(target, knife_edge.scene(), knife_edge.quadrature_step) == (1_222, 1_153)
-        assert grid_cells(make_paper_target(), paper_scene, 0.1 / 32) == (1_460, 4_778)
+        scene = knife_edge.scene()
+        targets = [knife_edge.target_at(*p) for p in knife_edge.positions]
+        assert sheet_orders(scene, targets).tolist() == [
+            [708, 556], [700, 560], [688, 560], [672, 560], [660, 556],
+        ]
+        sheet = np.array([knife_edge.target_half_width, knife_edge.target_half_height])
+        bound = rule_orders(4.0 * sheet / scene.wavelength)
+        assert bound.tolist() == [784, 740]
+        check_orders(*bound)
+        # the desk sheet at 32 times the rule's density (step lambda/320)
+        assert sheet_orders(paper_scene, [make_paper_target()], 32.0).tolist() == [[544, 1_248]]
 
-    @pytest.mark.parametrize("half_width, step, order", [
-        (500.0, 0.1, "82,951"),  # 1 km wide, 1 mm tall: 82,951 x 1 nodes
-        (50.0, 0.001, "829,508"),
+    @pytest.mark.parametrize("half_width, density, order", [
+        (500.0, 1.0, "51,928"),  # 1 km wide, 1 mm tall: 51,928 x 16 nodes
+        (50.0, 10.0, "50,232"),  # 100 m wide: 50,232 x 152 nodes, folded to 3.8M
     ])
-    def test_axis_order_over_the_cap_rejected(self, paper_scene, half_width, step, order):
+    def test_axis_order_over_the_cap_rejected(
+        self, paper_scene, monkeypatch, half_width, density, order
+    ):
+        def no_rule(n):
+            raise AssertionError(f"a {n}-point rule built for a refused grid")
+
+        monkeypatch.setattr(geometry, "gauss_legendre", no_rule)
         target = TargetSheet((1.0, 0.0), half_width, 0.0005)
+        orders = sheet_orders(paper_scene, [target], density)[0]
         with pytest.raises(ValueError, match=f"order {order} .* exceeds the cap of 10,000"):
-            grid_cells(target, paper_scene, step)
+            discretize_sheet(target, paper_scene, orders)
+
+    def test_grid_over_the_node_budget_rejected_before_allocation(self, paper_scene):
+        with pytest.raises(ValueError, match=r"10,001,000 nodes \(1,000 x 20,002\) exceeds the "
+                                             r"budget of 10,000,000"):
+            discretize_sheet(make_paper_target(), paper_scene, (1_000, 20_002))
+        with pytest.raises(ValueError, match="inf nodes"):
+            check_orders(np.inf, 16.0)
 
 
 class TestFrameProperties:

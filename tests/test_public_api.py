@@ -7,6 +7,7 @@ PIPELINE_API = [
     "DoaSpectrum",
     "Observation",
     "QuadratureGrid",
+    "QuadratureReport",
     "Scene",
     "TargetSheet",
     "antenna_positions",

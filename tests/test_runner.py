@@ -19,6 +19,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from arrayshadow import (
+    QuadratureReport,
     attenuation_spectrum_from_snapshots,
     excess_attenuation_db,
     geometry,
@@ -406,21 +407,64 @@ class TestLoadScenario:
         assert parse_scenario(json.dumps(raw)).quadrature_step == step
 
     @pytest.mark.parametrize("step, refused", [  # in wavelengths: 1e-4 m and 1e-320 m
-        (8.3e-4, "49,445,515 nodes at step 0.00083 wavelengths"),
-        (8.3e-320, "inf nodes at step 8.29981e-320 wavelengths"),  # read as a subnormal
+        # the desk sheet's position-free bound, 44 x 108 at step 0.1, at 120 times the density
+        (8.3e-4, "step 0.00083 wavelengths: quadrature grid of 33,737,472 nodes (5,184 x 13,016)"),
+        # read as a subnormal: the density overflows
+        (8.3e-320, "step 8.29981e-320 wavelengths: quadrature grid of inf nodes (inf x inf)"),
     ])
     def test_fixed_grid_over_the_node_budget_is_a_validation_error(
         self, tmp_path, capsys, step, refused
     ):
         raw = minimal_config(processing={"quadrature_step_wavelengths": step})
-        with pytest.raises(ScenarioError, match=f"{refused} exceeds the budget of 10,000,000"):
+        message = re.escape(f"{refused} exceeds the budget of 10,000,000")
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(json.dumps(raw))
         assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
         assert refused in capsys.readouterr().err
 
+    def test_start_grid_bound_refuses_no_sheet_the_step_grid_admitted(self, tmp_path):
+        # Before the path-sweep rule, each axis of length 2a got ceil(2a / (0.1 lambda)) nodes
+        # at the default step, under the same two budgets. The rule's position-free bound,
+        # ceil(pi 4a / lambda + 14) rounded up to a multiple of 4, admits every such sheet.
+        sizes = np.geomspace(1e-3, 600.0, 120)  # half-widths in wavelengths
+        for ay in sizes:
+            for az in sizes:
+                ny, nz = math.ceil(20.0 * ay), math.ceil(20.0 * az)
+                if ny * math.ceil(nz / 2) > geometry.MAX_GRID_NODES or max(ny, nz) > 10_000:
+                    continue
+                geometry.check_orders(*geometry.rule_orders(4.0 * np.array([ay, az])))
+        # the extremes, parsed: the square at the old node budget, the ribbons at the old cap
+        for ay, az in ((223.6, 223.6), (500.0, 1e-3), (500.0, 100.0), (1e-3, 500.0)):
+            raw = minimal_config()
+            raw["target"].update(half_width_m=ay * WAVELENGTH, half_height_m=az * WAVELENGTH)
+            parse_scenario(json.dumps(raw))
+
+    @pytest.mark.parametrize("section, key, values, listed, count", [
+        ("", "outputs", ["x"] * 100_000, "unknown kind 'x'", 100_000),
+        ("", "outputs", ["mean_attenuation"] * 100_000,
+         r"outputs\[0\] and \[5\] repeat one kind", 99_999),
+        ("target", "positions_m", [[1.0, 0.0]] * 50_000,
+         r"positions_m\[0\] and \[5\] match to the mm", 49_999),
+        ("array_factor", "spacings_wavelengths", ["?"] * 50_000,
+         "spacings_wavelengths must be a finite number", 50_000),
+    ], ids=["unknown_kinds", "repeated_kinds", "repeated_positions", "bad_spacings"])
+    def test_many_bad_entries_give_a_short_message(
+        self, tmp_path, capsys, section, key, values, listed, count
+    ):
+        raw = minimal_config()
+        (raw.setdefault(section, {}) if section else raw)[key] = values
+        with pytest.raises(ScenarioError, match=listed) as err:
+            parse_scenario(json.dumps(raw))
+        message = str(err.value)
+        assert len(message.encode()) < 10_000
+        assert f"{count - 5:,} more problems, {count:,} in all" in message
+        assert "[6]" not in message  # the first five are listed, the rest counted
+        assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert len(capsys.readouterr().err.encode()) < 10_000
+
     @pytest.mark.parametrize("half_width, step, order", [  # 1 mm tall sheets, within the budget
-        (500.0, 0.1, "82,951"),  # 1 km wide: 82,951 x 1 nodes
-        (50.0, 0.001, "829,508"),  # 100 m wide: 829,508 x 9 nodes, folded to 4.1M
+        (500.0, 0.1, "52,136"),  # 1 km wide: a bound of 52,136 x 16 nodes
+        (50.0, 0.01, "52,260"),  # 100 m wide: 52,260 x 152 nodes, folded to 4.0M
     ])
     def test_axis_order_over_the_cap_is_a_validation_error(
         self, tmp_path, capsys, monkeypatch, half_width, step, order
@@ -431,7 +475,7 @@ class TestLoadScenario:
         monkeypatch.setattr(geometry, "gauss_legendre", no_rule)
         raw = minimal_config(processing={"quadrature_step_wavelengths": step})
         raw["target"].update(half_width_m=half_width, half_height_m=0.0005)
-        message = f"quadrature order {order} along the sheet .* exceeds the cap of 10,000"
+        message = f"quadrature order {order} along the sheet exceeds the cap of 10,000"
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(json.dumps(raw))
         path = write_config(tmp_path, raw)
@@ -543,17 +587,18 @@ class TestRun:
         assert list(quantities) == ["array_factor_db[da=0.5lam]", "array_factor_db[da=0.1lam]"]
 
     @pytest.mark.parametrize("processing, budget, message, cli_exit", [
-        # the CLI parses under the same budget, which refuses the start grid: exit 1
-        ({}, 1_000, "exceeds the budget", 1),
-        # three grids fit and agree to about 5e-14, short of rel_tol; the fourth does not
+        # the CLI parses under the same budget, whose bound (44 x 108, 2,376 nodes) it
+        # refuses: exit 1
+        ({}, 100, r"relative change inf against rel_tol 1e-09: .* exceeds the budget", 1),
+        # four pairs fit and agree to about 1e-15, short of rel_tol; the fifth does not
         ({"quadrature_rel_tol": 1e-16}, 30_000,
          r"relative change \d[\d.e+-]* against rel_tol 1e-16", 2),
-    ], ids=["fixed_grid", "converged"])
+    ], ids=["start_grid", "doubling"])
     def test_node_budget_fails_cleanly(
         self, tmp_path, capsys, monkeypatch, processing, budget, message, cli_exit
     ):
-        # folded desk grids: lambda/5: 874 nodes; lambda/10: 3,450; lambda/20: 13,800;
-        # lambda/40: 54,717
+        # folded desk grids at (1, 0): 20 x 40: 400 nodes; 40 x 80: 1,600; 80 x 160: 6,400;
+        # 160 x 320: 25,600; 320 x 640: 102,400
         path = write_config(tmp_path, minimal_config(processing=processing))
         config = load_scenario(path)
         monkeypatch.setattr(geometry, "MAX_GRID_NODES", budget)  # after the parse-time check
@@ -567,7 +612,7 @@ class TestRun:
         scene = cfg.scene()
         expected = []
         for x, y in sorted(cfg.positions):
-            obs = observe(scene, cfg.target_at(x, y), cfg.quadrature_step)
+            obs = observe(scene, cfg.target_at(x, y), rel_tol=cfg.quadrature_rel_tol)
             spectrum = attenuation_spectrum_from_snapshots(
                 obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, cfg.n_fft
             )
@@ -578,13 +623,43 @@ class TestRun:
             ))
         assert run(cfg).rows.tolist() == expected
 
+    def test_the_quadrature_report_reaches_no_data_file(self, tmp_path, monkeypatch):
+        cfg = load_preset("paper_fig5")
+        table = run(cfg)
+
+        def garbled(*args, **kwargs):
+            return observe(*args, **kwargs)._replace(
+                quadrature=QuadratureReport((1, 1), -1, math.nan)
+            )
+
+        monkeypatch.setattr(runner, "observe", garbled)
+        for fmt in ("csv", "jsonl", "gnuplot"):
+            plain = export(table, fmt, tmp_path / "plain" / fmt)
+            other = export(run(cfg), fmt, tmp_path / "other" / fmt)
+            assert [p.read_bytes() for p in plain] == [p.read_bytes() for p in other]
+
+    def test_a_run_builds_a_handful_of_rules(self):
+        # an uncached order-150 rule costs about 3.6 ms, several desk solves; the start
+        # orders are multiples of 4, and each check is 4 below its solve
+        raw = minimal_config(outputs=["per_antenna_attenuation"])
+        raw["scene"]["half_count"] = 4
+        raw["target"].update(rotation_deg=20.0, positions_m=[
+            [0.5 + 0.2 * i, 0.15 * (i % 9) - 0.6] for i in range(16)
+        ])
+        config = parse_scenario(json.dumps(raw))
+        geometry.gauss_legendre.cache_clear()
+        run(config)
+        info = geometry.gauss_legendre.cache_info()
+        assert info.currsize == info.misses <= 10
+        assert info.hits + info.misses == 4 * 16  # two grids of two orders per position
+
     def test_doa_blocks_share_one_read_only_gamma_grid(self):
         cfg = load_preset("paper_fig5")  # three positions
         blocks = [b for b in run(cfg).blocks if b.quantity == "doa_excess_attenuation_db"]
         assert len(blocks) == len(cfg.positions) == 3
         assert all(b.index is blocks[0].index for b in blocks)
         assert not blocks[0].index.flags.writeable
-        obs = observe(cfg.scene(), cfg.target_at(*cfg.positions[0]), cfg.quadrature_step)
+        obs = observe(cfg.scene(), cfg.target_at(*cfg.positions[0]), rel_tol=cfg.quadrature_rel_tol)
         spectrum = attenuation_spectrum_from_snapshots(
             obs.empty, obs.occupied, cfg.spacing, cfg.scene().wavelength, cfg.n_fft
         )
@@ -642,21 +717,21 @@ class TestExport:
         raw["target"]["rotation_deg"] = -23.5
         raw["target"]["positions_m"] = [[0.5, 1.2], [3.5, -1.2], [1.0, 0.0]]
         pinned = {
-            ("csv", "doa_spectrum_x0.500_y1.200.csv"): "61c9dbec72e279d568768b48f67f288e5c09af075fea147bc4910c89cfc1f772",
-            ("csv", "doa_spectrum_x1.000_y0.000.csv"): "3b2939a49bbdca21c001766169d110018f3972a0087cde0d51c84fcfe9bce1e0",
-            ("csv", "doa_spectrum_x3.500_y-1.200.csv"): "66be3d388bd51230087396df8228a6e6e877062077455a900774a7b11d9b433d",
-            ("csv", "mean_attenuation.csv"): "b8bcdfea86c7ff3fbbd3b94c30b8cedcdf234533054f79f225a79835171dfcfb",
-            ("csv", "per_antenna_x0.500_y1.200.csv"): "7b2b573a3def5b4fb12d347faf5c81a4a813ad656b3c7d1d169d181d2f81ac0d",
-            ("csv", "per_antenna_x1.000_y0.000.csv"): "87b23375d3d7fcbcd58573b33c13a635a776b3be053944cd1851ec4aacc2c7ca",
-            ("csv", "per_antenna_x3.500_y-1.200.csv"): "80171ca560db7e5e81ee5a8b1b88e0f5ae6d6e71485353d0aafb5c967abfd1fa",
-            ("gnuplot", "doa_spectrum_x0.500_y1.200.dat"): "68003c0709b98b7290c0c925d107cf211bcdd66a8367e0b00537a0c2fa22871b",
-            ("gnuplot", "doa_spectrum_x1.000_y0.000.dat"): "821e51834fb9efbdc15dd71417282b44d3e89c8bc8e06c6a2539475936a7aa32",
-            ("gnuplot", "doa_spectrum_x3.500_y-1.200.dat"): "12792e8a78f7acf148e34f962775e3d32401d728a6c11089b604138ee7b214a5",
-            ("gnuplot", "mean_attenuation.dat"): "1bfaddb4d9c89018024041dc1661f62282b13a50a4ec76b98fae72c1dd19c617",
-            ("gnuplot", "per_antenna_x0.500_y1.200.dat"): "41e774c9a5431bdfa398f40b72201ab392bd276b95d67107eff4bc38a8b3c361",
-            ("gnuplot", "per_antenna_x1.000_y0.000.dat"): "5a9cc2310af2fabc33c4cf052bfcac0b0c337f2a8cd2d723ecb9be9e33d25568",
-            ("gnuplot", "per_antenna_x3.500_y-1.200.dat"): "c37b92bef19ed95c22c3bed169f78dfe23b9a8631bcee63b6337fce0c9689382",
-            ("jsonl", "results.jsonl"): "e818a6cf328d0b44c41439ba9002f49d7e706a1026ebaedd95035a36055ae6f3",
+            ("csv", "doa_spectrum_x0.500_y1.200.csv"): "9bd431be79f4d24b28bcdad75933cdd22187cff0dd9265280a6ff2b08033c0b3",
+            ("csv", "doa_spectrum_x1.000_y0.000.csv"): "4c72f5c5ebdadef3d54be6a5998229d808849d075761dbb706c28bb52f947563",
+            ("csv", "doa_spectrum_x3.500_y-1.200.csv"): "83a1ef3c7a553c1019da6592bf82c9971f4894aad9f26b2cb13d7bf3d4ec0d8f",
+            ("csv", "mean_attenuation.csv"): "9c7739e717cc21a4e219f89d4db5c75543045d0644bdc32a0d65b597001ff346",
+            ("csv", "per_antenna_x0.500_y1.200.csv"): "340fa9514cd6f1bdd2e809b3dbd221168d9b8f298b305740318114166eb38b76",
+            ("csv", "per_antenna_x1.000_y0.000.csv"): "33e9788998c203b8eb0bd7523e0c4a630c6729f1f5b6f37a2e7ac2f4618d59cf",
+            ("csv", "per_antenna_x3.500_y-1.200.csv"): "1a63e197d17827afe0b1ef6332dcb2aab614a253023501253b51d5b03108ab9c",
+            ("gnuplot", "doa_spectrum_x0.500_y1.200.dat"): "ff24be09dc8218cb1380b3cbc4a9e2c3c6b1d293c5fc618d5ea37c03448cc0c3",
+            ("gnuplot", "doa_spectrum_x1.000_y0.000.dat"): "76d96c97f2b4ec665b7f1e91d7ffe57ab316e13120b7123518e1de8d8949342c",
+            ("gnuplot", "doa_spectrum_x3.500_y-1.200.dat"): "4b04afef02515fa3a365a42011367e66af1620d9d5b1c939b03c64dc0e8bc91f",
+            ("gnuplot", "mean_attenuation.dat"): "f6d0bc687dc850a3bbd30ca7ece9279a29548455cb02f75ca4e0ad31542e16c0",
+            ("gnuplot", "per_antenna_x0.500_y1.200.dat"): "25b854f12112cd16c8d04809d4a06f99c837d97850ee83cc602f65a772329499",
+            ("gnuplot", "per_antenna_x1.000_y0.000.dat"): "88b1c80950f2a94be7182a5444ed59d4bf09e9bb82d9fae76c0a15e7b55334ad",
+            ("gnuplot", "per_antenna_x3.500_y-1.200.dat"): "4203e2287f8687396acdf317fdc1e6368bd4e0f583f446a90aaaeee0272f53af",
+            ("jsonl", "results.jsonl"): "34f251828d8d62762ae4902e6c8dbaee964d64056470839cb45b9200d398e496",
         }
         table = run(parse_scenario(json.dumps(raw)))
         got = {
@@ -802,6 +877,25 @@ class TestCli:
     def test_validate_ok(self, capsys):
         assert cli_main(["validate", "paper_fig4"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_validate_prints_each_positions_start_grid(self, tmp_path, capsys):
+        assert cli_main(["validate", "paper_fig6"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "OK: 3 position(s), outputs: doa_spectrum, per_antenna_attenuation, mean_attenuation",
+            "position (1, -1): start orders 32 x 40, 640 folded nodes",
+            "position (1, 0): start orders 20 x 40, 400 folded nodes",
+            "position (1, 1): start orders 32 x 40, 640 folded nodes",
+        ]
+        # in the file's order; step lambda/20 doubles the rule's nodes before the rounding
+        raw = minimal_config(processing={"quadrature_step_wavelengths": 0.05})
+        raw["target"]["positions_m"] = [[1.0, 1.0], [1.0, 0.0]]
+        assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "position (1, 1): start orders 60 x 76, 2,280 folded nodes",
+            "position (1, 0): start orders 36 x 80, 1,440 folded nodes",
+        ]
+        assert cli_main(["validate", "paper_fig3"]) == 0  # no sheet, no grids
+        assert capsys.readouterr().out.splitlines() == ["OK: 0 position(s), outputs: array_factor"]
 
     def test_validate_bad_config_exits_one(self, tmp_path, capsys):
         raw = minimal_config()

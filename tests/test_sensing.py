@@ -11,6 +11,7 @@ from arrayshadow import (
     Scene,
     attenuation_spectrum_from_snapshots,
     boresight_steering,
+    converged_field_ratio_vector,
     discretize_sheet,
     excess_attenuation_db,
     field_ratio_vector,
@@ -36,15 +37,29 @@ class TestSnapshot:
         assert obs.occupied[2] == pytest.approx(field_ratio_vector(paper_scene, target)[2], rel=1e-9)
         assert 13.0 <= -20 * np.log10(abs(obs.occupied[2])) <= 17.0
 
-    def test_fixed_step_and_converged_quadrature(self, paper_scene):
+    def test_one_checked_solve_and_its_report(self, paper_scene):
         target = make_paper_target(1.0, 0.4)
-        fixed = observe(paper_scene, target, 0.05)
-        grid = discretize_sheet(target, paper_scene, 0.05)
-        assert np.array_equal(fixed.ratios, field_ratio_vector(paper_scene, target, grid))
-        assert np.array_equal(fixed.occupied, fixed.empty * fixed.ratios)
-        # the first check, against the solve at step 0.1, passes: the step's own solve is kept
-        converged = observe(paper_scene, target, 0.05, rel_tol=1e-2)
-        assert np.array_equal(converged.ratios, fixed.ratios)
+        obs = observe(paper_scene, target)
+        ratios, report = converged_field_ratio_vector(paper_scene, target)
+        assert np.array_equal(obs.ratios, ratios)
+        assert obs.quadrature == report
+        assert np.array_equal(obs.occupied, obs.empty * obs.ratios)
+        across, up = report.orders
+        assert report.nodes == across * up // 2 == len(discretize_sheet(target, paper_scene,
+                                                                         report.orders).areas)
+        assert report.change < 1e-9
+        # a looser tolerance keeps the grid: the finer solve of the pair is returned
+        assert np.array_equal(observe(paper_scene, target, rel_tol=1.0).ratios, obs.ratios)
+        # orders are taken as given, and the solve is on their grid
+        given = observe(paper_scene, target, rel_tol=1.0, orders=(48, 96))
+        grid = discretize_sheet(target, paper_scene, (48, 96))
+        assert np.array_equal(given.ratios, field_ratio_vector(paper_scene, target, grid))
+        assert given.quadrature.orders == (48, 96)
+
+    def test_step_is_not_an_argument(self, paper_scene):
+        # a positional third argument was the step; it must not be read as a tolerance
+        with pytest.raises(TypeError):
+            observe(paper_scene, make_paper_target(), 0.05)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -76,7 +91,8 @@ class TestMeanExcessAttenuation:
     def test_single_antenna_reduces_to_per_antenna_value(self):
         scene = Scene(2.4868e9, ArraySpec(0, WAVELENGTH / 2, 4.0), link_height=0.9)
         target = make_paper_target()
-        got = mean_attenuation_from_snapshots(uniform_weights(0), *observe(scene, target)[1:])
+        obs = observe(scene, target)
+        got = mean_attenuation_from_snapshots(uniform_weights(0), obs.empty, obs.occupied)
         expected = excess_attenuation_db(field_ratio_vector(scene, target)[0])
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -110,7 +126,7 @@ class TestDoaSpectrum:
         assert g.size == spectrum.excess_attenuation_db.size
 
     def test_scale_invariance(self, paper_scene):
-        _, r0, r1 = observe(paper_scene, make_paper_target())
+        _, r0, r1, _ = observe(paper_scene, make_paper_target())
         base = attenuation_spectrum_from_snapshots(r0, r1, WAVELENGTH / 2, WAVELENGTH)
         c = 2.7 - 1.3j
         scaled = attenuation_spectrum_from_snapshots(c * r0, c * r1, WAVELENGTH / 2, WAVELENGTH)
