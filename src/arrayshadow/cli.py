@@ -13,11 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import folded_nodes
 from .presets import PRESET_NAMES, load_preset
 from .runner import (
+    MAX_EXPORTED_VALUES,
     ScenarioError,
     SimulationError,
     export,
+    exported_bound,
     load_scenario,
     run,
     start_orders,
@@ -97,11 +100,13 @@ def main(argv=None) -> int:
         if args.command == "validate":
             config = _resolve_config(args.config)
             print(f"OK: {len(config.positions)} position(s), outputs: {', '.join(config.outputs)}")
+            print(f"at most {exported_bound(config):,} exported values, against a budget of "
+                  f"{MAX_EXPORTED_VALUES:,}")
             if any(k != "array_factor" for k in config.outputs):
                 orders = start_orders(config, config.scene(), config.positions)
                 for (x, y), (across, up) in zip(config.positions, orders.tolist()):
                     print(f"position ({x:g}, {y:g}): start orders {across} x {up}, "
-                          f"{across * -(-up // 2):,} folded nodes")
+                          f"{folded_nodes(across, up):,} folded nodes")
             return 0
         if args.command == "presets":
             for name in PRESET_NAMES:

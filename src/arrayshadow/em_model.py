@@ -25,15 +25,17 @@ from .geometry import (
     TargetSheet,
     antenna_positions,
     check_orders,
-    discretize_sheet,
+    discretize_sheets,
+    folded_nodes,
     sheet_orders,
 )
 
 _MIN_CLEARANCE = 1e-9  # m; below this a grid node sits on an antenna
 # Antennas x nodes per block of temporaries, whose arrays (128 KB each) stay in
-# cache. A desk solve's antennas and nodes fit in one block, so the per-call cost
-# of numpy is paid once per solve; a grid of more nodes is summed one antenna at a
-# time, in blocks of this many nodes.
+# cache. A run's grids are summed in chunks of as many whole grids as fit in one
+# block with all antennas (one or two desk grids at M = 8, a dozen at M = 2), so
+# the per-call cost of numpy is paid once per chunk; a grid of more nodes is summed
+# alone, a group of antennas at a time, in blocks of this many antennas x nodes.
 _BLOCK_NODE_ANTENNAS = 16384
 # The relative change between a solve and its check at which
 # converged_field_ratio_vector stops doubling.
@@ -46,6 +48,30 @@ class QuadratureReport(NamedTuple):
     orders: tuple[int, int]  # (across, up) of the returned solve
     nodes: int               # folded nodes of the returned solve
     change: float            # worst relative change against the check, 4 lower per axis
+
+
+class SolveError(ValueError):
+    """A solve of a batch that failed; ``index`` is its target's place in the batch."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+class _Link(NamedTuple):
+    """What every solve in one scene shares: the transmitter, the antennas, d_m and k."""
+
+    tx: np.ndarray
+    rx: np.ndarray          # antenna positions, m = -M .. +M
+    dm: np.ndarray          # LoS length to each antenna
+    k: float
+    wavelength: float
+
+    @classmethod
+    def of(cls, scene: Scene) -> _Link:
+        rx = antenna_positions(scene)
+        return cls(scene.tx, rx, np.linalg.norm(rx - scene.tx, axis=1),
+                   2.0 * np.pi / scene.wavelength, scene.wavelength)
 
 
 def _distances(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
@@ -67,6 +93,73 @@ def _distances(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
+def _field_ratios(link: _Link, grid: QuadratureGrid, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Field ratios of the grids stored end to end in ``grid``, ``sizes`` nodes each.
+
+    Returns one row of ratios per grid, and a flag per grid set when one of
+    its nodes lies within ``_MIN_CLEARANCE`` of the transmitter or an
+    antenna; such a grid's row is meaningless. The transmitter-side
+    distances do not depend on the antenna, so they are computed once. The
+    node terms w cos(phase) and w sin(phase), with w = dS / (r1 r2) and
+    exp(-j phase) = cos(phase) - j sin(phase), are computed for a group of
+    antennas at a time, block by block, into two (antennas, nodes) arrays,
+    and each grid's row of each antenna is summed whole, so no bit depends on
+    the grouping, the block size or the other grids. A group holds as many
+    antennas as keep antennas x nodes within ``_BLOCK_NODE_ANTENNAS``, at
+    least one.
+    """
+    points, areas = grid.points, grid.areas
+    n = len(areas)
+    group = min(len(link.rx), max(1, _BLOCK_NODE_ANTENNAS // n))
+    block = max(1, _BLOCK_NODE_ANTENNAS // group)
+    blocks = [slice(start, start + block) for start in range(0, n, block)]
+    ends = np.cumsum(sizes)
+    grids = [slice(end - size, end) for end, size in zip(ends.tolist(), sizes)]
+    close = np.zeros(len(grids), dtype=bool)
+
+    def clear(dist: np.ndarray, first_node: int) -> None:
+        """Flag the grids of nodes too close in ``dist``, and move those nodes away."""
+        if dist.min() < _MIN_CLEARANCE:
+            near = dist < _MIN_CLEARANCE
+            nodes = first_node + np.flatnonzero(near.reshape(-1, dist.shape[-1]).any(axis=0))
+            close[np.searchsorted(ends, nodes, side="right")] = True
+            dist[near] = 1.0  # a flagged grid's terms are never read; this keeps them finite
+
+    r1 = np.empty(n)
+    for b in blocks:
+        r1[b] = _distances(points[b], link.tx[None])[0]
+    clear(r1, 0)
+
+    sums = np.empty((2, len(grids), len(link.rx)))  # of the w sin and the w cos terms
+    real, imag = np.empty((group, n)), np.empty((group, n))
+    for first in range(0, len(link.rx), group):
+        rx, dm = link.rx[first:first + group], link.dm[first:first + group, None]
+        rows, antennas = slice(0, len(rx)), slice(first, first + len(rx))
+        for b in blocks:
+            r2 = _distances(points[b], rx)
+            clear(r2, b.start)
+            # in place, in the operation order of areas / (r1 r2) and k (r1 + r2 - d_m),
+            # so the buffers change no bit
+            w = r1[b] * r2
+            np.divide(areas[b], w, out=w)
+            phase = r2
+            phase += r1[b]
+            phase -= dm
+            phase *= link.k
+            for part, fn in ((real[rows, b], np.cos), (imag[rows, b], np.sin)):
+                fn(phase, out=part)
+                part *= w
+        for g, nodes in enumerate(grids):
+            sums[0, g, antennas] = np.sum(imag[rows, nodes], axis=1)
+            sums[1, g, antennas] = np.sum(real[rows, nodes], axis=1)
+    # 1 - j c (S_cos - j S_sin) with c = d_m / lambda
+    c = link.dm / link.wavelength
+    out = np.empty((len(grids), len(link.rx)), dtype=complex)
+    out.real = 1.0 - c * sums[0]
+    out.imag = -c * sums[1]
+    return out, close
+
+
 def field_ratio_vector(
     scene: Scene,
     target: TargetSheet,
@@ -76,57 +169,15 @@ def field_ratio_vector(
 
     Without a grid, the ratios are those of the checked solve,
     ``converged_field_ratio_vector`` at its defaults: the start orders alone
-    can be far off near a link end. The transmitter-side distances do not
-    depend on the antenna, so they are computed once. The node terms
-    w cos(phase) and w sin(phase), with w = dS / (r1 r2) and
-    exp(-j phase) = cos(phase) - j sin(phase), are computed for a group of
-    antennas at a time, block by block, into two (antennas, nodes) arrays,
-    and each antenna's row is summed whole, so the result does not depend
-    on the grouping or the block size. A group holds as many antennas as
-    keep antennas x nodes within ``_BLOCK_NODE_ANTENNAS``, at least one.
+    can be far off near a link end. With one, the grid's sum; raises
+    ValueError when a node lies on the transmitter or an antenna.
     """
     if grid is None:
         return converged_field_ratio_vector(scene, target)[0]
-
-    points, areas = grid.points, grid.areas
-    n = len(areas)
-    k = 2.0 * np.pi / scene.wavelength
-    rx_all = antenna_positions(scene)
-    dm_all = np.linalg.norm(rx_all - scene.tx, axis=1)
-    group = min(len(rx_all), max(1, _BLOCK_NODE_ANTENNAS // n))
-    block = max(1, _BLOCK_NODE_ANTENNAS // group)
-    blocks = [slice(start, start + block) for start in range(0, n, block)]
-    r1 = np.empty(n)
-    for b in blocks:
-        r1[b] = _distances(points[b], scene.tx[None])[0]
-    if r1.min() < _MIN_CLEARANCE:
+    ratios, close = _field_ratios(_Link.of(scene), grid, [len(grid.areas)])
+    if close[0]:
         raise ValueError("target intersects antenna")
-
-    out = np.empty(len(rx_all), dtype=complex)
-    real, imag = np.empty((group, n)), np.empty((group, n))
-    for first in range(0, len(rx_all), group):
-        rx, dm = rx_all[first:first + group], dm_all[first:first + group, None]
-        rows = slice(0, len(rx))
-        for b in blocks:
-            r2 = _distances(points[b], rx)
-            if r2.min() < _MIN_CLEARANCE:
-                raise ValueError("target intersects antenna")
-            # in place, in the operation order of areas / (r1 r2) and k (r1 + r2 - d_m),
-            # so the buffers change no bit
-            w = r1[b] * r2
-            np.divide(areas[b], w, out=w)
-            phase = r2
-            phase += r1[b]
-            phase -= dm
-            phase *= k
-            for part, fn in ((real[rows, b], np.cos), (imag[rows, b], np.sin)):
-                fn(phase, out=part)
-                part *= w
-        # 1 - j c (S_cos - j S_sin) with c = d_m / lambda
-        c = dm[:, 0] / scene.wavelength
-        out.real[first:first + len(rx)] = 1.0 - c * np.sum(imag[rows], axis=1)
-        out.imag[first:first + len(rx)] = -c * np.sum(real[rows], axis=1)
-    return out
+    return ratios[0]
 
 
 def excess_attenuation_db(ratio) -> float | np.ndarray:
@@ -145,39 +196,118 @@ def converged_field_ratio_vector(
     rel_tol: float = DEFAULT_REL_TOL,
     orders=None,
 ) -> tuple[np.ndarray, QuadratureReport]:
-    """Field ratios from one checked solve: the start orders, doubled until they hold.
+    """Field ratios of ``target`` from one checked solve, and its report.
 
-    Solves on the ``discretize_sheet`` grid at ``orders`` (across, up; by
-    default the sheet's ``sheet_orders``) and checks it against a solve at
-    4 fewer nodes per axis. While the worst per-antenna relative change
-    between the two is at least ``rel_tol``, both axis orders double and
-    the pair is solved again. Returns the finer solve of the last pair, so
-    a looser ``rel_tol`` never returns a coarser grid, and its report. The
-    change is the check's error, a conservative estimate of the returned
-    solve's. Raises ValueError when either order is 4 or less, and when
-    the next grid would exceed ``geometry.MAX_GRID_NODES`` or
-    ``geometry.MAX_ORDER``, giving the change reached (inf before the first
-    pair).
+    ``converged_field_ratio_vectors`` for one target.
+    """
+    ratios, reports = converged_field_ratio_vectors(
+        scene, [target], rel_tol, None if orders is None else [orders]
+    )
+    return ratios[0], reports[0]
+
+
+def _chunks(tasks, antennas: int):
+    """Runs of consecutive ``(orders, ...)`` tasks whose grids are summed together.
+
+    A run holds as many grids as fit in ``_BLOCK_NODE_ANTENNAS`` antennas x
+    nodes together; a larger grid is a run of its own.
+    """
+    chunk, nodes = [], 0
+    for task in tasks:
+        size = folded_nodes(*task[0])
+        if chunk and (nodes + size) * antennas > _BLOCK_NODE_ANTENNAS:
+            yield chunk
+            chunk, nodes = [], 0
+        chunk.append(task)
+        nodes += size
+    if chunk:
+        yield chunk
+
+
+def converged_field_ratio_vectors(
+    scene: Scene,
+    targets,
+    rel_tol: float = DEFAULT_REL_TOL,
+    orders=None,
+) -> tuple[np.ndarray, list[QuadratureReport]]:
+    """Field ratios of each of ``targets`` from one checked solve each, and their reports.
+
+    Each target is solved on the ``discretize_sheet`` grid at its row of
+    ``orders`` (across, up; by default ``sheet_orders``) and checked against
+    a solve at 4 fewer nodes per axis. While the worst per-antenna relative
+    change between the two is at least ``rel_tol``, both axis orders double
+    and the pair is solved again. A target's ratios are the finer solve of
+    its last pair, so a looser ``rel_tol`` never returns a coarser grid; its
+    report's change is the check's error, a conservative estimate of the
+    returned solve's. Returns one row of ratios per target, m = -M .. +M.
+
+    All pending targets' grids are built and summed together, round by
+    round, in chunks of whole grids (``_chunks``) sorted by orders, so grids
+    of equal orders share one rule. Every value is that of the target's own
+    solve: no bit depends on the other targets.
+
+    Raises SolveError, a ValueError naming the first failing target in
+    ``targets`` order, when its orders are 4 or less, when a node of its
+    grid lies on the transmitter or an antenna, and when its next grid
+    would exceed ``geometry.MAX_GRID_NODES`` or ``geometry.MAX_ORDER``,
+    giving the change reached (inf before the first pair).
     """
     if orders is None:
-        orders = sheet_orders(scene, [target])[0]
-    ny, nz = (int(n) for n in orders)
-    if min(ny, nz) <= 4:
-        raise ValueError(f"quadrature orders must exceed 4, got {ny} x {nz}")
-    change = np.inf
-    while True:
-        try:
-            check_orders(ny, nz)  # the larger grid of the pair
-        except ValueError as e:
-            raise ValueError(
-                f"quadrature stopped at relative change {change:.3g} against "
-                f"rel_tol {rel_tol:g}: {e}"
-            ) from e
-        # the check first: its grid is freed before the larger one is built
-        check = field_ratio_vector(scene, target, discretize_sheet(target, scene, (ny - 4, nz - 4)))
-        grid = discretize_sheet(target, scene, (ny, nz))
-        fine = field_ratio_vector(scene, target, grid)
-        change = float(np.max(np.abs(fine - check) / np.maximum(np.abs(fine), 1e-300)))
-        if change < rel_tol:
-            return fine, QuadratureReport((ny, nz), len(grid.areas), change)
-        ny, nz = 2 * ny, 2 * nz
+        orders = sheet_orders(scene, targets)
+    orders = np.array(orders, dtype=int).reshape(len(targets), 2)
+    for i, (ny, nz) in enumerate(orders.tolist()):
+        if min(ny, nz) <= 4:
+            raise SolveError(i, f"quadrature orders must exceed 4, got {ny} x {nz}")
+    link = _Link.of(scene)
+    ratios = np.empty((len(targets), len(link.rx)), dtype=complex)
+    reports: list = [None] * len(targets)
+    change = np.full(len(targets), np.inf)
+    solves = np.empty((2, len(targets), len(link.rx)), dtype=complex)  # check, finer solve
+    failure: tuple[int, str, Exception | None] | None = None  # the first failing target's
+
+    def fail(i: int, message: str, cause: Exception | None = None) -> None:
+        nonlocal failure
+        if failure is None or i < failure[0]:
+            failure = (i, message, cause)
+
+    pending = list(range(len(targets)))
+    while pending:
+        for i in pending:
+            try:
+                check_orders(*orders[i])  # the larger grid of the pair
+            except ValueError as e:
+                fail(i, f"quadrature stopped at relative change {change[i]:.3g} against "
+                        f"rel_tol {rel_tol:g}: {e}", e)
+        if failure is not None:  # a later target's solve cannot change what is raised
+            pending = [i for i in pending if i < failure[0]]
+        # (orders, target, 0 for the check or 1 for the finer solve), the check first
+        tasks = sorted(((ny - 4 + 4 * fine, nz - 4 + 4 * fine), i, fine)
+                       for i, (ny, nz) in zip(pending, orders[pending].tolist()) for fine in (0, 1))
+        for chunk in _chunks(tasks, len(link.rx)):
+            grid_orders, where, which = zip(*chunk)
+            grid = discretize_sheets(scene, [targets[i] for i in where], grid_orders)
+            values, close = _field_ratios(link, grid, [folded_nodes(*o) for o in grid_orders])
+            del grid  # before the next chunk's grid is built
+            solves[which, where] = values
+            for i in np.asarray(where)[close].tolist():
+                fail(i, "target intersects antenna")
+        if failure is not None:
+            pending = [i for i in pending if i < failure[0]]
+        if not pending:
+            break
+        checks, finer = solves[0, pending], solves[1, pending]
+        change[pending] = np.max(np.abs(finer - checks) / np.maximum(np.abs(finer), 1e-300), axis=1)
+        still = []
+        for i, row in zip(pending, finer):
+            if change[i] < rel_tol:
+                ny, nz = orders[i].tolist()
+                ratios[i] = row
+                reports[i] = QuadratureReport((ny, nz), folded_nodes(ny, nz), float(change[i]))
+            else:
+                orders[i] *= 2
+                still.append(i)
+        pending = still
+    if failure is not None:
+        i, message, cause = failure
+        raise SolveError(i, message) from cause
+    return ratios, reports

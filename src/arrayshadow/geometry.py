@@ -231,33 +231,62 @@ def discretize_sheet(target: TargetSheet, scene: Scene, orders=None) -> Quadratu
     before allocation when the grid exceeds a budget (``check_orders``).
     Only the nodes with z >= h are built, each at twice its weight, but the
     node at z = h of an odd order keeps its own weight; the weights sum to
-    the sheet area.
+    the sheet area. The one-grid case of ``discretize_sheets``.
     """
     if orders is None:
         orders = sheet_orders(scene, [target])[0]
-    ny, nz = (int(n) for n in orders)
-    if min(ny, nz) < 1:
-        raise ValueError(f"quadrature orders must be positive, got {ny} x {nz}")
-    check_orders(ny, nz)
-    ay, az = target.half_width, target.half_height
-    u, wu = gauss_legendre(ny)
-    # The TX, every antenna and the sheet centre share z = h, so r1 and r2 are
-    # even in z - h and each node below h adds what its mirror node above adds.
-    v, wv = (a[nz // 2:] for a in gauss_legendre(nz))
-    wv = np.where(v > 0.0, 2.0 * wv, wv)  # an odd order's middle node v = 0 counts once
+    return discretize_sheets(scene, [target], [orders])
 
-    theta = target.rotation
-    in_plane = np.array([-np.sin(theta), np.cos(theta), 0.0])
-    vertical = np.array([0.0, 0.0, 1.0])
-    center = np.array([*target.barycenter, scene.link_height])
 
-    yy, zz = np.repeat(ay * u, len(v)), np.tile(az * v, len(u))  # the (across, up) mesh, raveled
-    # Column by column, in Fortran order, so each coordinate the distances read
-    # is contiguous; (c + yy * in_plane) + zz * vertical is the broadcast's order.
-    points = np.empty((len(yy), 3), order="F")
-    for j, col in enumerate(points.T):
-        np.multiply(yy, in_plane[j], out=col)
-        col += center[j]
-        col += zz * vertical[j]
-    areas = np.outer(ay * wu, az * wv).ravel()
+def folded_nodes(across: int, up: int) -> int:
+    """Nodes of the folded (across, up) grid that ``discretize_sheet`` builds."""
+    return across * (up - up // 2)
+
+
+def discretize_sheets(scene: Scene, targets, orders) -> QuadratureGrid:
+    """The ``discretize_sheet`` grids of ``targets``, one at each row of ``orders``, end to end.
+
+    Grid i holds ``folded_nodes(*orders[i])`` nodes and follows grid i - 1.
+    Consecutive sheets of one shape, rotation and orders share one rule:
+    its offsets along the sheet, its heights and its areas are computed
+    once, and every sheet's nodes are placed in one broadcast per
+    coordinate. Raises ValueError before allocation when a grid exceeds a
+    budget (``check_orders``).
+    """
+    orders = [(int(ny), int(nz)) for ny, nz in orders]
+    for ny, nz in dict.fromkeys(orders):  # each distinct orders once, in order
+        if min(ny, nz) < 1:
+            raise ValueError(f"quadrature orders must be positive, got {ny} x {nz}")
+        check_orders(ny, nz)
+    runs: list[list] = []  # [rule key, sheets]: consecutive sheets that share a rule
+    for target, (ny, nz) in zip(targets, orders):
+        key = (target.half_width, target.half_height, target.rotation, ny, nz)
+        if runs and runs[-1][0] == key:
+            runs[-1][1].append(target)
+        else:
+            runs.append([key, [target]])
+    total = sum(folded_nodes(*o) for o in orders)
+    points = np.empty((total, 3), order="F")  # each coordinate the distances read is contiguous
+    areas = None if len(orders) == 1 else np.empty(total)
+    end = 0
+    for (ay, az, theta, ny, nz), sheets in runs:
+        u, wu = gauss_legendre(ny)
+        # The TX, every antenna and the sheet centre share z = h, so r1 and r2 are
+        # even in z - h and each node below h adds what its mirror node above adds.
+        v, wv = (a[nz // 2:] for a in gauss_legendre(nz))
+        wv = np.where(v > 0.0, 2.0 * wv, wv)  # an odd order's middle node v = 0 counts once
+        rule_areas = np.outer(ay * wu, az * wv).ravel()
+        start, end = end, end + len(sheets) * len(rule_areas)
+        # node (i, j) of sheet p sits at c_p + a_y u_i in_plane + a_z v_j vertical, in the
+        # (across, up) mesh raveled; the in-plane axis is horizontal, so z = h + a_z v_j
+        shape = (len(sheets), ny, len(v))
+        centers = np.array([t.barycenter for t in sheets])
+        for j, direction in enumerate((-np.sin(theta), np.cos(theta))):
+            np.add((ay * u * direction)[:, None], centers[:, j, None, None],
+                   out=points[start:end, j].reshape(shape))
+        np.add(az * v, scene.link_height, out=points[start:end, 2].reshape(shape))
+        if areas is None:
+            areas = rule_areas
+        else:
+            areas[start:end].reshape(len(sheets), -1)[...] = rule_areas
     return QuadratureGrid(points=points, areas=areas)

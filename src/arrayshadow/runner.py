@@ -14,21 +14,20 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+import dataclasses
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .array_model import array_factor, planar_steering, uniform_weights
-from .em_model import DEFAULT_REL_TOL, excess_attenuation_db
+from .em_model import _BLOCK_NODE_ANTENNAS, DEFAULT_REL_TOL, SolveError, excess_attenuation_db
 from .geometry import (
     MAX_STEP, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, check_orders, rule_orders,
     sheet_orders,
 )
-from .sensing import (
-    attenuation_spectrum_from_snapshots, doa_grid, mean_attenuation_from_snapshots, observe,
-)
+from .sensing import attenuation_spectra, doa_grid, mean_attenuation_from_snapshots, observe_all
 
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
 
@@ -88,7 +87,9 @@ class ScenarioConfig:
         )
 
     def config_hash(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # the fields as they are: json.dumps spells a tuple as asdict's copy of it
+        canonical = json.dumps({f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+                               sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -216,6 +217,27 @@ def _spacing_tag(spacing: float, wavelength: float) -> str:
     return f"{spacing / wavelength:g}"
 
 
+def _exported_bound(outputs, positions: int, n_fft, half_count, spacings: int, gamma_points):
+    """The most values a run of these outputs exports, as ``MAX_EXPORTED_VALUES`` counts them.
+
+    Per position: at most n_fft DoA bins, one value per antenna and the
+    mean; per array-factor spacing, its gamma points. NaN when a count is.
+    """
+    per_position = zip(("doa_spectrum", "per_antenna_attenuation", "mean_attenuation"),
+                       (n_fft, 2 * half_count + 1, 1))
+    exported = positions * sum(n for kind, n in per_position if kind in outputs)
+    if "array_factor" in outputs:
+        exported += spacings * gamma_points
+    return exported
+
+
+def exported_bound(config: ScenarioConfig) -> int:
+    """The most values ``config``'s run exports, as ``MAX_EXPORTED_VALUES`` counts them."""
+    return _exported_bound(config.outputs, len(config.positions), config.n_fft,
+                           config.half_count, len(config.array_factor_spacings),
+                           config.array_factor_points)
+
+
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     """Parse and validate a JSON scenario; collects every validation error."""
     try:
@@ -318,12 +340,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             bad.append(f"{label}[{j}] and [{i}] would share export files")
     errors += _capped(bad, label)
 
-    # per position: at most n_fft DoA bins, one value per antenna, the mean
-    per_position = zip(("doa_spectrum", "per_antenna_attenuation", "mean_attenuation"),
-                       (fields["n_fft"], 2 * fields["half_count"] + 1, 1))
-    exported = len(positions) * sum(n for kind, n in per_position if kind in outputs)
-    if "array_factor" in outputs:
-        exported += len(af_spacings) * fields["array_factor_points"]
+    exported = _exported_bound(outputs, len(positions), fields["n_fft"], fields["half_count"],
+                               len(af_spacings), fields["array_factor_points"])
     if exported > MAX_EXPORTED_VALUES:  # NaN fails this check
         errors.append(f"outputs: {exported:,} exported values exceed the budget of "
                       f"{MAX_EXPORTED_VALUES:,}")
@@ -370,40 +388,51 @@ def start_orders(config: ScenarioConfig, scene: Scene, positions) -> np.ndarray:
     return sheet_orders(scene, targets, MAX_STEP / config.quadrature_step)
 
 
-def _position_blocks(
-    config: ScenarioConfig, scene: Scene, gamma_deg: np.ndarray | None,
-    xy: tuple[float, float], orders: np.ndarray,
+def _sweep_blocks(
+    config: ScenarioConfig, scene: Scene, gamma_deg: np.ndarray | None, positions: list
 ) -> list[Block]:
-    """The blocks of one position; ``gamma_deg`` is the run's DoA grid, shared read-only."""
-    x, y = xy
-    tag = _position_tag(x, y)
-    try:
-        obs = observe(
-            scene, config.target_at(x, y), rel_tol=config.quadrature_rel_tol, orders=orders
-        )
+    """The blocks of every position, in ``positions`` order; one solve of them all.
 
-        # quantities in name order, each by ascending index: the export order
-        blocks: list[Block] = []
-        if "doa_spectrum" in config.outputs:
-            spectrum = attenuation_spectrum_from_snapshots(
-                obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, config.n_fft
-            )
+    ``gamma_deg`` is the run's DoA grid, shared read-only, as is the antenna
+    index column. The DoA spectra come from one FFT call per chunk of
+    positions, as many as keep positions x ``n_fft`` within
+    ``_BLOCK_NODE_ANTENNAS``, at least one.
+    """
+    targets = [config.target_at(x, y) for x, y in positions]
+    try:
+        observations = observe_all(scene, targets, rel_tol=config.quadrature_rel_tol,
+                                   orders=start_orders(config, scene, positions))
+    except SolveError as e:
+        x, y = positions[e.index]
+        raise SimulationError(f"position ({x:g}, {y:g}): {e}") from e
+
+    spectra: list[np.ndarray] = []
+    if "doa_spectrum" in config.outputs:
+        chunk = max(1, _BLOCK_NODE_ANTENNAS // config.n_fft)
+        for first in range(0, len(observations), chunk):
+            occupied = np.array([obs.occupied for obs in observations[first:first + chunk]])
+            spectra.extend(attenuation_spectra(observations[0].empty, occupied,
+                                               scene.array.spacing, scene.wavelength, config.n_fft))
+    per_antenna = excess_attenuation_db(np.array([obs.ratios for obs in observations]))
+    indices = scene.array.indices
+    indices.flags.writeable = False  # shared by every per-antenna block
+    weights = uniform_weights(scene.array.half_count)
+
+    # per position, quantities in name order, each by ascending index: the export order
+    blocks: list[Block] = []
+    for p, ((x, y), obs) in enumerate(zip(positions, observations)):
+        tag = _position_tag(x, y)
+        if spectra:
             blocks.append(Block(f"doa_spectrum_{tag}", ("gamma_deg", "excess_attenuation_db"),
-                                "doa_excess_attenuation_db", x, y,
-                                gamma_deg, spectrum.excess_attenuation_db))
+                                "doa_excess_attenuation_db", x, y, gamma_deg, spectra[p]))
         if "per_antenna_attenuation" in config.outputs:
             blocks.append(Block(f"per_antenna_{tag}", ("antenna_index", "excess_attenuation_db"),
-                                "excess_attenuation_antenna_db", x, y,
-                                scene.array.indices, excess_attenuation_db(obs.ratios)))
+                                "excess_attenuation_antenna_db", x, y, indices, per_antenna[p]))
         if "mean_attenuation" in config.outputs:
-            value = mean_attenuation_from_snapshots(
-                uniform_weights(scene.array.half_count), obs.empty, obs.occupied
-            )
+            value = mean_attenuation_from_snapshots(weights, obs.empty, obs.occupied)
             blocks.append(Block("mean_attenuation", ("x_m", "y_m", "mean_excess_attenuation_db"),
                                 "mean_excess_attenuation_db", x, y, None, np.array([value])))
-        return blocks
-    except ValueError as e:
-        raise SimulationError(f"position ({x:g}, {y:g}): {e}") from e
+    return blocks
 
 
 def _array_factor_block(config: ScenarioConfig, scene: Scene, spacing: float) -> Block:
@@ -422,6 +451,7 @@ def run(config: ScenarioConfig) -> ResultTable:
     Blocks come in export order: array-factor curves in
     ``array_factor_spacings`` order, then positions sorted by (x, y). Every
     DoA block indexes one read-only array of the run's gamma grid, in degrees.
+    All positions are solved together (``_sweep_blocks``).
     """
     scene = config.scene()
     blocks: list[Block] = []
@@ -432,9 +462,7 @@ def run(config: ScenarioConfig) -> ResultTable:
         gamma_deg = np.degrees(doa_grid(scene.array.spacing, scene.wavelength, config.n_fft)[1])
         gamma_deg.flags.writeable = False
     if any(k != "array_factor" for k in config.outputs):
-        positions = sorted(config.positions)
-        for xy, orders in zip(positions, start_orders(config, scene, positions)):
-            blocks.extend(_position_blocks(config, scene, gamma_deg, xy, orders))
+        blocks.extend(_sweep_blocks(config, scene, gamma_deg, sorted(config.positions)))
     return ResultTable(blocks=tuple(blocks), config_hash=config.config_hash(), version=__version__)
 
 
@@ -493,20 +521,29 @@ def _export_columns(table: ResultTable, fmt: str, out_dir: Path) -> list[Path]:
     sep = "," if fmt == "csv" else " "
     suffix = ".csv" if fmt == "csv" else ".dat"
     header_meta = f"# config_hash={table.config_hash} version={table.version}"
+    # "%.9g" spells a value as format(value, ".9g") does
+    value = f"%{_FLOAT_FMT}"
+    mean_line = sep.join([value] * 3) + "\n"  # x, y and the value
+    # An index column spelt once per call, each entry with its separator, for the blocks
+    # that share it: every DoA block shares the run's gamma grid, every per-antenna block
+    # its antenna indices. Keyed by id, as the table keeps each column alive.
+    spelt: dict[int, list[str]] = {}
     written = []
     for stem in sorted(groups):
         blocks = groups[stem]
         path = out_dir / (stem + suffix)
         columns = sep.join(blocks[0].columns)
-        # one C format per line: "%.9g" spells a value as format(value, ".9g") does
-        template = sep.join([f"%{_FLOAT_FMT}"] * len(blocks[0].columns)) + "\n"
         with path.open("w") as f:
             f.write(f"{header_meta}\n{'# ' if fmt == 'gnuplot' else ''}{columns}\n")
             for block in blocks:
-                if block.index is None:  # the mean: one line of x, y and the value
-                    lines = [(block.x, block.y, *block.values.tolist())]
-                else:
-                    lines = zip(block.index.tolist(), block.values.tolist())
-                f.writelines(template % line for line in lines)
+                if block.index is None:
+                    f.write(mean_line % (block.x, block.y, *block.values.tolist()))
+                    continue
+                if (prefixes := spelt.get(id(block.index))) is None:
+                    prefixes = spelt[id(block.index)] = [
+                        value % i + sep for i in block.index.tolist()
+                    ]
+                f.writelines(map(str.__add__, prefixes,
+                                 map((value + "\n").__mod__, block.values.tolist())))
         written.append(path)
     return written

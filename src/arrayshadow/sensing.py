@@ -2,9 +2,10 @@
 
 The reference field at the central antenna is normalized to 1: every
 quantity exposed here is a ratio in which the absolute transmit level
-cancels. ``observe`` makes one checked sheet solve per target and returns
-the empty and occupied snapshots every other quantity is derived from,
-with the solve's quadrature report.
+cancels. ``observe_all`` makes one checked sheet solve per target, all
+targets together, and returns the empty and occupied snapshots every other
+quantity is derived from, with each solve's quadrature report; ``observe``
+is its one-target case.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .array_model import nearfield_steering
-from .em_model import DEFAULT_REL_TOL, QuadratureReport, converged_field_ratio_vector
+from .em_model import DEFAULT_REL_TOL, QuadratureReport, converged_field_ratio_vectors
 from .geometry import Scene, TargetSheet
 
 
@@ -70,14 +71,32 @@ def observe(
 ) -> Observation:
     """Solve the sheet integral once and form the empty and occupied snapshots.
 
-    One checked solve (``converged_field_ratio_vector``): the sheet's start
-    orders (``orders``, by default ``geometry.sheet_orders`` at density 1),
-    doubled until the solve and its check at 4 fewer nodes per axis agree to
-    ``rel_tol``. Noiseless.
+    One checked solve: ``observe_all`` for one target.
     """
-    ratios, report = converged_field_ratio_vector(scene, target, rel_tol, orders)
+    return observe_all(
+        scene, [target], rel_tol=rel_tol, orders=None if orders is None else [orders]
+    )[0]
+
+
+def observe_all(
+    scene: Scene,
+    targets,
+    *,
+    rel_tol: float = DEFAULT_REL_TOL,
+    orders=None,
+) -> list[Observation]:
+    """One observation per target, from one checked solve each, all solved together.
+
+    Each target's checked solve (``converged_field_ratio_vectors``) starts
+    at its row of ``orders``, by default ``geometry.sheet_orders`` at
+    density 1, and doubles until the solve and its check at 4 fewer nodes
+    per axis agree to ``rel_tol``. The empty snapshot is computed once and
+    shared. Noiseless. Raises ``em_model.SolveError`` naming the first
+    failing target.
+    """
+    ratios, reports = converged_field_ratio_vectors(scene, targets, rel_tol, orders)
     empty = boresight_steering(scene)
-    return Observation(ratios, empty, empty * ratios, report)
+    return [Observation(r, empty, o, q) for r, o, q in zip(ratios, empty * ratios, reports)]
 
 
 def mean_attenuation_from_snapshots(
@@ -103,27 +122,47 @@ def attenuation_spectrum_from_snapshots(
 ) -> DoaSpectrum:
     """Excess attenuation against DoA from a pair of received vectors.
 
-    Both vectors are zero-padded to ``n_fft`` and transformed in one call;
-    the bins that map to a direction of arrival (``doa_grid``) give the
-    gamma grid. The curve is 20 log10 of the empty-over-occupied magnitude
-    ratio per bin, so a common scale on the two vectors cancels, as does
-    the samples' place in the padded input, which moves only phases.
+    ``attenuation_spectra`` for one occupied vector; the bins that map to a
+    direction of arrival (``doa_grid``) give the gamma grid.
+    """
+    attenuation = attenuation_spectra(
+        r_empty, np.asarray(r_occupied)[None], spacing, wavelength, n_fft
+    )[0]
+    return DoaSpectrum(gamma_grid=doa_grid(spacing, wavelength, n_fft)[1],
+                       excess_attenuation_db=attenuation)
+
+
+def attenuation_spectra(
+    r_empty: np.ndarray,
+    r_occupied: np.ndarray,
+    spacing: float,
+    wavelength: float,
+    n_fft: int = 257,
+) -> np.ndarray:
+    """Excess attenuation against DoA of each row of ``r_occupied``, one row each.
+
+    The empty vector and every occupied one are zero-padded to ``n_fft``
+    and transformed in one call; each row of the result holds, at the bins
+    that map to a direction of arrival (``doa_grid``, by ascending gamma),
+    20 log10 of the empty-over-occupied magnitude ratio. So a common scale
+    on the two vectors cancels, as does the samples' place in the padded
+    input, which moves only phases. Each transform, and so each row, is
+    that of its own vector alone.
     """
     r_empty = np.asarray(r_empty, dtype=complex)
     r_occupied = np.asarray(r_occupied, dtype=complex)
-    if r_empty.shape != r_occupied.shape:
+    if r_empty.ndim != 1 or r_occupied.shape[1:] != r_empty.shape:
         raise ValueError("snapshot vectors must have equal length")
     n = r_empty.size
     if n % 2 != 1:
         raise ValueError("expected an odd number of antennas (2M+1)")
     if n_fft < n:
         raise ValueError(f"n_fft {n_fft} smaller than the array size {n}")
-    magnitudes = np.abs(np.fft.fft(np.stack([r_empty, r_occupied]), n_fft))
+    magnitudes = np.abs(np.fft.fft(np.vstack([r_empty, r_occupied]), n_fft))
 
-    bins, gamma = doa_grid(spacing, wavelength, n_fft)
+    bins = doa_grid(spacing, wavelength, n_fft)[0]
     with np.errstate(divide="ignore"):
-        attenuation = 20.0 * np.log10(magnitudes[0, bins] / magnitudes[1, bins])
-    return DoaSpectrum(gamma_grid=gamma, excess_attenuation_db=attenuation)
+        return 20.0 * np.log10(magnitudes[:1, bins] / magnitudes[1:, bins])
 
 
 # Every position of a run asks for the run's one grid; a few entries cover a few runs.

@@ -11,7 +11,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from arrayshadow import runner
+import numpy as np
+
+from arrayshadow import em_model, runner
 
 _TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -38,6 +40,9 @@ def converged_desk_scenario() -> str:
 def test_tracer_resolves_and_counts_a_converged_desk_run(tmp_path):
     tracing = load_tracing()
     modules = {m: importlib.import_module(f"arrayshadow.{m}") for m, _, _ in tracing.TRACED}
+    config = runner.parse_scenario(converged_desk_scenario())
+    scene, target = config.scene(), config.target_at(*config.positions[0])
+    ratios, report = em_model.converged_field_ratio_vector(scene, target, config.quadrature_rel_tol)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -46,12 +51,26 @@ def test_tracer_resolves_and_counts_a_converged_desk_run(tmp_path):
             if not hasattr(getattr(modules[m], f, None), "__wrapped__")
         ]
         # through the module, as the benchmark calls it, so the rebound names are used
-        config = runner.parse_scenario(converged_desk_scenario())
         runner.export(runner.run(config), "csv", tmp_path)
+
+        # run solves its positions together, through names the tracer does not wrap yet;
+        # drive the single-target pieces it wraps: the checked solve's check and solve
+        # grids, each built and summed, inside a span of the solve's name
+        def checked_solve():
+            ny, nz = report.orders
+            return [
+                modules["em_model"].field_ratio_vector(
+                    scene, target, modules["geometry"].discretize_sheet(target, scene, orders)
+                )
+                for orders in ((ny - 4, nz - 4), (ny, nz))
+            ][-1]
+
+        by_hand = tracer.wrap("em_model.converged_field_ratio_vector", checked_solve)()
     finally:
         tracer.restore()
 
     assert unresolved == []
+    assert np.array_equal(by_hand, ratios)
     metrics = tracing.summarize(tracer.spans)
     assert metrics["runner.run.rows"] > 0
     assert metrics["runner.export.files"] == 3

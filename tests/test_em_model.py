@@ -18,7 +18,7 @@ from arrayshadow import (
     excess_attenuation_db,
     field_ratio_vector,
 )
-from arrayshadow.geometry import gauss_legendre, sheet_orders
+from arrayshadow.geometry import discretize_sheets, gauss_legendre, sheet_orders
 from arrayshadow.oracles import dense_quadrature_field_ratio, free_space_ratio_vector
 from conftest import CARRIER_HZ, WAVELENGTH, make_paper_scene, make_paper_target
 
@@ -177,11 +177,11 @@ def recording_orders(monkeypatch) -> list[tuple[int, int]]:
     """The orders of every grid the checked solve builds, in build order."""
     orders = []
 
-    def recording_discretize_sheet(target, scene, given):
-        orders.append(tuple(int(n) for n in given))
-        return discretize_sheet(target, scene, given)
+    def recording_discretize_sheets(scene, targets, given):
+        orders.extend(tuple(int(n) for n in row) for row in given)
+        return discretize_sheets(scene, targets, given)
 
-    monkeypatch.setattr(em_model, "discretize_sheet", recording_discretize_sheet)
+    monkeypatch.setattr(em_model, "discretize_sheets", recording_discretize_sheets)
     return orders
 
 

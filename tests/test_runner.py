@@ -28,6 +28,7 @@ from arrayshadow import (
     uniform_weights,
 )
 from arrayshadow import runner, sensing
+from arrayshadow.sensing import observe_all
 from arrayshadow.cli import _build_parser
 from arrayshadow.cli import main as cli_main
 from arrayshadow.presets import PRESET_NAMES, load_preset, preset_text
@@ -627,16 +628,19 @@ class TestRun:
         cfg = load_preset("paper_fig5")
         table = run(cfg)
 
-        def garbled(*args, **kwargs):
-            return observe(*args, **kwargs)._replace(
-                quadrature=QuadratureReport((1, 1), -1, math.nan)
-            )
+        garbled_runs = []
 
-        monkeypatch.setattr(runner, "observe", garbled)
+        def garbled(*args, **kwargs):  # the batched solve that run calls
+            garbled_runs.append(True)
+            return [obs._replace(quadrature=QuadratureReport((1, 1), -1, math.nan))
+                    for obs in observe_all(*args, **kwargs)]
+
+        monkeypatch.setattr(runner, "observe_all", garbled)
         for fmt in ("csv", "jsonl", "gnuplot"):
             plain = export(table, fmt, tmp_path / "plain" / fmt)
             other = export(run(cfg), fmt, tmp_path / "other" / fmt)
             assert [p.read_bytes() for p in plain] == [p.read_bytes() for p in other]
+        assert len(garbled_runs) == 3
 
     def test_a_run_builds_a_handful_of_rules(self):
         # an uncached order-150 rule costs about 3.6 ms, several desk solves; the start
@@ -651,7 +655,9 @@ class TestRun:
         run(config)
         info = geometry.gauss_legendre.cache_info()
         assert info.currsize == info.misses <= 10
-        assert info.hits + info.misses == 4 * 16  # two grids of two orders per position
+        # two lookups per run of grids of equal orders within one chunk, not per grid: the
+        # 32 grids, two per position, are built in 9 chunks holding 19 such runs
+        assert info.hits + info.misses == 2 * 19
 
     def test_doa_blocks_share_one_read_only_gamma_grid(self):
         cfg = load_preset("paper_fig5")  # three positions
@@ -670,7 +676,8 @@ class TestRun:
         sensing.doa_grid.cache_clear()
         run(cfg)
         info = sensing.doa_grid.cache_info()
-        assert (info.misses, info.hits) == (1, len(cfg.positions))  # run's grid, then one per spectrum
+        # run's grid, then one per FFT call: the three positions' spectra come from one
+        assert (info.misses, info.hits) == (1, 1)
         bins, gamma = sensing.doa_grid(cfg.spacing, cfg.scene().wavelength, cfg.n_fft)
         assert not bins.flags.writeable and not gamma.flags.writeable
 
@@ -882,6 +889,7 @@ class TestCli:
         assert cli_main(["validate", "paper_fig6"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "OK: 3 position(s), outputs: doa_spectrum, per_antenna_attenuation, mean_attenuation",
+            "at most 789 exported values, against a budget of 10,000,000",
             "position (1, -1): start orders 32 x 40, 640 folded nodes",
             "position (1, 0): start orders 20 x 40, 400 folded nodes",
             "position (1, 1): start orders 32 x 40, 640 folded nodes",
@@ -890,12 +898,29 @@ class TestCli:
         raw = minimal_config(processing={"quadrature_step_wavelengths": 0.05})
         raw["target"]["positions_m"] = [[1.0, 1.0], [1.0, 0.0]]
         assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 0
-        assert capsys.readouterr().out.splitlines()[1:] == [
+        assert capsys.readouterr().out.splitlines()[2:] == [
             "position (1, 1): start orders 60 x 76, 2,280 folded nodes",
             "position (1, 0): start orders 36 x 80, 1,440 folded nodes",
         ]
         assert cli_main(["validate", "paper_fig3"]) == 0  # no sheet, no grids
-        assert capsys.readouterr().out.splitlines() == ["OK: 0 position(s), outputs: array_factor"]
+        assert capsys.readouterr().out.splitlines() == [
+            "OK: 0 position(s), outputs: array_factor",
+            "at most 3,605 exported values, against a budget of 10,000,000",
+        ]
+
+    def test_validate_prints_the_exported_value_bound(self, tmp_path, capsys):
+        # at half-wavelength spacing every bin is a DoA, so paper_fig4 exports its bound
+        assert cli_main(["validate", "paper_fig4"]) == 0
+        line = "at most 789 exported values, against a budget of 10,000,000"
+        assert capsys.readouterr().out.splitlines()[1] == line
+        assert len(run(load_preset("paper_fig4")).rows) == 789
+        # the largest accepted run: nine positions x (2**20 bins + 5 antennas + the mean)
+        raw = minimal_config(outputs=["doa_spectrum", "per_antenna_attenuation", "mean_attenuation"],
+                             processing={"n_fft": 2**20})
+        raw["target"]["positions_m"] = [[1.0, 0.1 * k] for k in range(9)]
+        assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 0
+        line = "at most 9,437,238 exported values, against a budget of 10,000,000"
+        assert capsys.readouterr().out.splitlines()[1] == line
 
     def test_validate_bad_config_exits_one(self, tmp_path, capsys):
         raw = minimal_config()
