@@ -235,11 +235,12 @@ def converged_field_ratio_vectors(
     Each target is solved on the ``discretize_sheet`` grid at its row of
     ``orders`` (across, up; by default ``sheet_orders``) and checked against
     a solve at 4 fewer nodes per axis. While the worst per-antenna relative
-    change between the two is at least ``rel_tol``, both axis orders double
-    and the pair is solved again. A target's ratios are the finer solve of
-    its last pair, so a looser ``rel_tol`` never returns a coarser grid; its
-    report's change is the check's error, a conservative estimate of the
-    returned solve's. Returns one row of ratios per target, m = -M .. +M.
+    change between the two is not below ``rel_tol`` (a NaN change included),
+    both axis orders double and the pair is solved again. A target's ratios
+    are the finer solve of its last pair, so a looser ``rel_tol`` never
+    returns a coarser grid; its report's change is the check's error, a
+    conservative estimate of the returned solve's. Returns one row of ratios
+    per target, m = -M .. +M.
 
     All pending targets' grids are built and summed together, round by
     round, in chunks of whole grids (``_chunks``) sorted by orders, so grids
@@ -250,7 +251,8 @@ def converged_field_ratio_vectors(
     ``targets`` order, when its orders are 4 or less, when a node of its
     grid lies on the transmitter or an antenna, and when its next grid
     would exceed ``geometry.MAX_GRID_NODES`` or ``geometry.MAX_ORDER``,
-    giving the change reached (inf before the first pair).
+    giving the change reached (inf before the first pair); no later target
+    is solved further.
     """
     if orders is None:
         orders = sheet_orders(scene, targets)
@@ -259,55 +261,41 @@ def converged_field_ratio_vectors(
         if min(ny, nz) <= 4:
             raise SolveError(i, f"quadrature orders must exceed 4, got {ny} x {nz}")
     link = _Link.of(scene)
-    ratios = np.empty((len(targets), len(link.rx)), dtype=complex)
-    reports: list = [None] * len(targets)
+    solves = np.empty((2, len(targets), len(link.rx)), dtype=complex)  # checks, finer solves
     change = np.full(len(targets), np.inf)
-    solves = np.empty((2, len(targets), len(link.rx)), dtype=complex)  # check, finer solve
-    failure: tuple[int, str, Exception | None] | None = None  # the first failing target's
-
-    def fail(i: int, message: str, cause: Exception | None = None) -> None:
-        nonlocal failure
-        if failure is None or i < failure[0]:
-            failure = (i, message, cause)
-
-    pending = list(range(len(targets)))
-    while pending:
-        for i in pending:
+    failures: dict[int, tuple[str, Exception | None]] = {}  # target -> message, cause
+    pending = np.arange(len(targets))
+    while pending.size:
+        for i in pending.tolist():
             try:
                 check_orders(*orders[i])  # the larger grid of the pair
             except ValueError as e:
-                fail(i, f"quadrature stopped at relative change {change[i]:.3g} against "
-                        f"rel_tol {rel_tol:g}: {e}", e)
-        if failure is not None:  # a later target's solve cannot change what is raised
-            pending = [i for i in pending if i < failure[0]]
+                failures[i] = (f"quadrature stopped at relative change {change[i]:.3g} against "
+                               f"rel_tol {rel_tol:g}: {e}", e)
+        if failures:  # a later target's solve cannot change what is raised
+            pending = pending[pending < min(failures)]
         # (orders, target, 0 for the check or 1 for the finer solve), the check first
         tasks = sorted(((ny - 4 + 4 * fine, nz - 4 + 4 * fine), i, fine)
-                       for i, (ny, nz) in zip(pending, orders[pending].tolist()) for fine in (0, 1))
+                       for i, (ny, nz) in zip(pending.tolist(), orders[pending].tolist())
+                       for fine in (0, 1))
         for chunk in _chunks(tasks, len(link.rx)):
             grid_orders, where, which = zip(*chunk)
             grid = discretize_sheets(scene, [targets[i] for i in where], grid_orders)
             values, close = _field_ratios(link, grid, [folded_nodes(*o) for o in grid_orders])
             del grid  # before the next chunk's grid is built
             solves[which, where] = values
-            for i in np.asarray(where)[close].tolist():
-                fail(i, "target intersects antenna")
-        if failure is not None:
-            pending = [i for i in pending if i < failure[0]]
-        if not pending:
-            break
-        checks, finer = solves[0, pending], solves[1, pending]
+            failures.update((i, ("target intersects antenna", None))
+                            for i in np.asarray(where)[close].tolist())
+        if failures:
+            pending = pending[pending < min(failures)]
+        checks, finer = solves[:, pending]
         change[pending] = np.max(np.abs(finer - checks) / np.maximum(np.abs(finer), 1e-300), axis=1)
-        still = []
-        for i, row in zip(pending, finer):
-            if change[i] < rel_tol:
-                ny, nz = orders[i].tolist()
-                ratios[i] = row
-                reports[i] = QuadratureReport((ny, nz), folded_nodes(ny, nz), float(change[i]))
-            else:
-                orders[i] *= 2
-                still.append(i)
-        pending = still
-    if failure is not None:
-        i, message, cause = failure
+        pending = pending[~(change[pending] < rel_tol)]
+        orders[pending] *= 2
+    if failures:
+        i = min(failures)
+        message, cause = failures[i]
         raise SolveError(i, message) from cause
-    return ratios, reports
+    reports = [QuadratureReport((ny, nz), folded_nodes(ny, nz), c)
+               for (ny, nz), c in zip(orders.tolist(), change.tolist())]
+    return solves[1], reports

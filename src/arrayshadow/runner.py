@@ -22,12 +22,14 @@ import numpy as np
 
 from . import __version__
 from .array_model import array_factor, planar_steering, uniform_weights
-from .em_model import _BLOCK_NODE_ANTENNAS, DEFAULT_REL_TOL, SolveError, excess_attenuation_db
+from .em_model import (DEFAULT_REL_TOL, SolveError, converged_field_ratio_vectors,
+                       excess_attenuation_db)
 from .geometry import (
     MAX_STEP, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, check_orders, rule_orders,
     sheet_orders,
 )
-from .sensing import attenuation_spectra, doa_grid, mean_attenuation_from_snapshots, observe_all
+from .sensing import (attenuation_spectra, boresight_steering, doa_grid,
+                      mean_attenuation_from_snapshots)
 
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
 
@@ -394,42 +396,38 @@ def _sweep_blocks(
     """The blocks of every position, in ``positions`` order; one solve of them all.
 
     ``gamma_deg`` is the run's DoA grid, shared read-only, as is the antenna
-    index column. The DoA spectra come from one FFT call per chunk of
-    positions, as many as keep positions x ``n_fft`` within
-    ``_BLOCK_NODE_ANTENNAS``, at least one.
+    index column. Every value comes from the solve's ratios, one row per
+    position, and from the empty vector and the occupied rows they give.
     """
     targets = [config.target_at(x, y) for x, y in positions]
     try:
-        observations = observe_all(scene, targets, rel_tol=config.quadrature_rel_tol,
-                                   orders=start_orders(config, scene, positions))
+        ratios = converged_field_ratio_vectors(scene, targets, config.quadrature_rel_tol,
+                                               start_orders(config, scene, positions))[0]
     except SolveError as e:
         x, y = positions[e.index]
         raise SimulationError(f"position ({x:g}, {y:g}): {e}") from e
-
-    spectra: list[np.ndarray] = []
+    empty = boresight_steering(scene)
+    occupied = empty * ratios
     if "doa_spectrum" in config.outputs:
-        chunk = max(1, _BLOCK_NODE_ANTENNAS // config.n_fft)
-        for first in range(0, len(observations), chunk):
-            occupied = np.array([obs.occupied for obs in observations[first:first + chunk]])
-            spectra.extend(attenuation_spectra(observations[0].empty, occupied,
-                                               scene.array.spacing, scene.wavelength, config.n_fft))
-    per_antenna = excess_attenuation_db(np.array([obs.ratios for obs in observations]))
+        spectra = attenuation_spectra(empty, occupied, scene.array.spacing, scene.wavelength,
+                                      config.n_fft)
+    per_antenna = excess_attenuation_db(ratios)
     indices = scene.array.indices
     indices.flags.writeable = False  # shared by every per-antenna block
     weights = uniform_weights(scene.array.half_count)
 
     # per position, quantities in name order, each by ascending index: the export order
     blocks: list[Block] = []
-    for p, ((x, y), obs) in enumerate(zip(positions, observations)):
+    for p, (x, y) in enumerate(positions):
         tag = _position_tag(x, y)
-        if spectra:
+        if "doa_spectrum" in config.outputs:
             blocks.append(Block(f"doa_spectrum_{tag}", ("gamma_deg", "excess_attenuation_db"),
                                 "doa_excess_attenuation_db", x, y, gamma_deg, spectra[p]))
         if "per_antenna_attenuation" in config.outputs:
             blocks.append(Block(f"per_antenna_{tag}", ("antenna_index", "excess_attenuation_db"),
                                 "excess_attenuation_antenna_db", x, y, indices, per_antenna[p]))
         if "mean_attenuation" in config.outputs:
-            value = mean_attenuation_from_snapshots(weights, obs.empty, obs.occupied)
+            value = mean_attenuation_from_snapshots(weights, empty, occupied[p])
             blocks.append(Block("mean_attenuation", ("x_m", "y_m", "mean_excess_attenuation_db"),
                                 "mean_excess_attenuation_db", x, y, None, np.array([value])))
     return blocks

@@ -2,10 +2,11 @@
 
 The reference field at the central antenna is normalized to 1: every
 quantity exposed here is a ratio in which the absolute transmit level
-cancels. ``observe_all`` makes one checked sheet solve per target, all
-targets together, and returns the empty and occupied snapshots every other
-quantity is derived from, with each solve's quadrature report; ``observe``
-is its one-target case.
+cancels. ``observe`` makes one checked sheet solve and returns the empty
+and occupied snapshots every other quantity is derived from, with the
+solve's quadrature report. A run solves all its positions at once
+(``em_model.converged_field_ratio_vectors``) and derives the same
+quantities from one empty vector and one array of occupied ones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .array_model import nearfield_steering
-from .em_model import DEFAULT_REL_TOL, QuadratureReport, converged_field_ratio_vectors
+from .em_model import (_BLOCK_NODE_ANTENNAS, DEFAULT_REL_TOL, QuadratureReport,
+                       converged_field_ratio_vector)
 from .geometry import Scene, TargetSheet
 
 
@@ -71,32 +73,13 @@ def observe(
 ) -> Observation:
     """Solve the sheet integral once and form the empty and occupied snapshots.
 
-    One checked solve: ``observe_all`` for one target.
+    One checked solve (``em_model.converged_field_ratio_vector``), from
+    ``orders`` or the sheet's start orders, doubled until the solve and its
+    check at 4 fewer nodes per axis agree to ``rel_tol``. Noiseless.
     """
-    return observe_all(
-        scene, [target], rel_tol=rel_tol, orders=None if orders is None else [orders]
-    )[0]
-
-
-def observe_all(
-    scene: Scene,
-    targets,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    orders=None,
-) -> list[Observation]:
-    """One observation per target, from one checked solve each, all solved together.
-
-    Each target's checked solve (``converged_field_ratio_vectors``) starts
-    at its row of ``orders``, by default ``geometry.sheet_orders`` at
-    density 1, and doubles until the solve and its check at 4 fewer nodes
-    per axis agree to ``rel_tol``. The empty snapshot is computed once and
-    shared. Noiseless. Raises ``em_model.SolveError`` naming the first
-    failing target.
-    """
-    ratios, reports = converged_field_ratio_vectors(scene, targets, rel_tol, orders)
+    ratios, report = converged_field_ratio_vector(scene, target, rel_tol, orders)
     empty = boresight_steering(scene)
-    return [Observation(r, empty, o, q) for r, o, q in zip(ratios, empty * ratios, reports)]
+    return Observation(ratios, empty, empty * ratios, report)
 
 
 def mean_attenuation_from_snapshots(
@@ -141,13 +124,14 @@ def attenuation_spectra(
 ) -> np.ndarray:
     """Excess attenuation against DoA of each row of ``r_occupied``, one row each.
 
-    The empty vector and every occupied one are zero-padded to ``n_fft``
-    and transformed in one call; each row of the result holds, at the bins
-    that map to a direction of arrival (``doa_grid``, by ascending gamma),
-    20 log10 of the empty-over-occupied magnitude ratio. So a common scale
-    on the two vectors cancels, as does the samples' place in the padded
-    input, which moves only phases. Each transform, and so each row, is
-    that of its own vector alone.
+    The empty vector and the occupied ones are zero-padded to ``n_fft`` and
+    transformed together, as many occupied rows per call as keep rows x
+    ``n_fft`` within em_model's block of 16,384, at least one; each row of
+    the result holds, at the bins that map to a direction of arrival
+    (``doa_grid``, by ascending gamma), 20 log10 of the empty-over-occupied
+    magnitude ratio. So a common scale on the two vectors cancels, as does
+    the samples' place in the padded input, which moves only phases. Each
+    transform, and so each row, is that of its own vector alone.
     """
     r_empty = np.asarray(r_empty, dtype=complex)
     r_occupied = np.asarray(r_occupied, dtype=complex)
@@ -158,11 +142,14 @@ def attenuation_spectra(
         raise ValueError("expected an odd number of antennas (2M+1)")
     if n_fft < n:
         raise ValueError(f"n_fft {n_fft} smaller than the array size {n}")
-    magnitudes = np.abs(np.fft.fft(np.vstack([r_empty, r_occupied]), n_fft))
-
     bins = doa_grid(spacing, wavelength, n_fft)[0]
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(magnitudes[:1, bins] / magnitudes[1:, bins])
+    out = np.empty((len(r_occupied), len(bins)))
+    rows = max(1, _BLOCK_NODE_ANTENNAS // n_fft)
+    for first in range(0, len(r_occupied), rows):
+        magnitudes = np.abs(np.fft.fft(np.vstack([r_empty, r_occupied[first:first + rows]]), n_fft))
+        with np.errstate(divide="ignore"):
+            out[first:first + rows] = 20.0 * np.log10(magnitudes[:1, bins] / magnitudes[1:, bins])
+    return out
 
 
 # Every position of a run asks for the run's one grid; a few entries cover a few runs.

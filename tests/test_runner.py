@@ -28,7 +28,7 @@ from arrayshadow import (
     uniform_weights,
 )
 from arrayshadow import runner, sensing
-from arrayshadow.sensing import observe_all
+from arrayshadow.em_model import converged_field_ratio_vectors
 from arrayshadow.cli import _build_parser
 from arrayshadow.cli import main as cli_main
 from arrayshadow.presets import PRESET_NAMES, load_preset, preset_text
@@ -632,10 +632,10 @@ class TestRun:
 
         def garbled(*args, **kwargs):  # the batched solve that run calls
             garbled_runs.append(True)
-            return [obs._replace(quadrature=QuadratureReport((1, 1), -1, math.nan))
-                    for obs in observe_all(*args, **kwargs)]
+            ratios, reports = converged_field_ratio_vectors(*args, **kwargs)
+            return ratios, [QuadratureReport((1, 1), -1, math.nan)] * len(reports)
 
-        monkeypatch.setattr(runner, "observe_all", garbled)
+        monkeypatch.setattr(runner, "converged_field_ratio_vectors", garbled)
         for fmt in ("csv", "jsonl", "gnuplot"):
             plain = export(table, fmt, tmp_path / "plain" / fmt)
             other = export(run(cfg), fmt, tmp_path / "other" / fmt)

@@ -6,21 +6,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arrayshadow import TargetSheet, em_model, geometry, observe
+from arrayshadow import TargetSheet, em_model, geometry, observe, sensing
 from arrayshadow.em_model import SolveError, converged_field_ratio_vectors
 from arrayshadow.runner import SimulationError, parse_scenario, run
-from arrayshadow.sensing import attenuation_spectra, observe_all
+from arrayshadow.sensing import attenuation_spectra, boresight_steering
 from conftest import make_paper_scene, make_paper_target
 from test_runner import minimal_config
 
 
-def assert_same_observations(batched, single):
-    assert len(batched) == len(single)
-    for a, b in zip(batched, single):
-        assert np.array_equal(a.ratios, b.ratios)
-        assert np.array_equal(a.empty, b.empty)
-        assert np.array_equal(a.occupied, b.occupied)
-        assert a.quadrature == b.quadrature
+def solve_as_run_does_and_alone(scene, targets):
+    """The batched solve's reports, after checking it and its snapshots against ``observe``."""
+    ratios, reports = converged_field_ratio_vectors(scene, targets)
+    empty = boresight_steering(scene)
+    single = [observe(scene, t) for t in targets]
+    assert ratios.shape == (len(targets), scene.array.num_elements) and len(reports) == len(targets)
+    for row, occupied, report, obs in zip(ratios, empty * ratios, reports, single):
+        assert np.array_equal(row, obs.ratios)
+        assert np.array_equal(empty, obs.empty)
+        assert np.array_equal(occupied, obs.occupied)
+        assert report == obs.quadrature
+    return reports
 
 
 @pytest.mark.parametrize("half_count", [2, 4, 8])
@@ -28,23 +33,21 @@ def test_a_rotated_sweep_equals_one_observe_per_position(half_count):
     scene = make_paper_scene(half_count)
     rotation = np.radians(-17.5)
     targets = [make_paper_target(0.5 + 0.25 * i, 0.1 * (i % 7) - 0.3, rotation) for i in range(13)]
-    batched = observe_all(scene, targets)
-    assert_same_observations(batched, [observe(scene, t) for t in targets])
+    reports = solve_as_run_does_and_alone(scene, targets)
     # several grids share each chunk, and several chunks a rule
-    orders = {obs.quadrature.orders for obs in batched}
+    orders = {report.orders for report in reports}
     assert 1 < len(orders) < len(targets)
 
 
 def test_positions_that_double_and_grids_over_one_block_keep_every_bit():
     scene = make_paper_scene(2)
     targets = [make_paper_target(x, 0.0) for x in (1.0, 3.9, 2.0, 3.95)]
-    batched = observe_all(scene, targets)
-    assert_same_observations(batched, [observe(scene, t) for t in targets])
+    reports = solve_as_run_does_and_alone(scene, targets)
     start = geometry.sheet_orders(scene, targets)
-    doubled = [obs.quadrature.orders != tuple(o) for obs, o in zip(batched, start.tolist())]
+    doubled = [report.orders != tuple(o) for report, o in zip(reports, start.tolist())]
     assert doubled == [False, True, False, True]
     # 3.95 m ends at 96 x 240, 11,520 nodes: over one block of 16,384 / 5 antennas
-    assert batched[3].quadrature.nodes * 5 > em_model._BLOCK_NODE_ANTENNAS
+    assert reports[3].nodes * 5 > em_model._BLOCK_NODE_ANTENNAS
 
 
 def test_a_chunk_of_grids_sums_each_grid_as_alone():
@@ -61,13 +64,17 @@ def test_a_chunk_of_grids_sums_each_grid_as_alone():
         assert np.array_equal(row, em_model.field_ratio_vector(scene, target, alone))
 
 
-def test_spectra_in_one_call_equal_one_call_per_pair():
+@pytest.mark.parametrize("n_fft", [257, 8_193, 20_000])  # 3 rows in one call; 2 and 1; 1 each
+def test_spectra_in_one_call_equal_one_call_per_pair(n_fft):
     scene = make_paper_scene(8)
-    observations = observe_all(scene, [make_paper_target(1.0, y) for y in (-0.4, 0.0, 0.3)])
-    occupied = np.array([obs.occupied for obs in observations])
-    together = attenuation_spectra(observations[0].empty, occupied, 0.06, 0.12, 257)
-    for row, obs in zip(together, observations):
-        alone = attenuation_spectra(obs.empty, obs.occupied[None], 0.06, 0.12, 257)[0]
+    ratios = converged_field_ratio_vectors(
+        scene, [make_paper_target(1.0, y) for y in (-0.4, 0.0, 0.3)])[0]
+    empty = boresight_steering(scene)
+    occupied = empty * ratios
+    together = attenuation_spectra(empty, occupied, 0.06, 0.12, n_fft)
+    assert together.shape == (3, len(sensing.doa_grid(0.06, 0.12, n_fft)[0]))
+    for row, pair in zip(together, occupied):
+        alone = attenuation_spectra(empty, pair[None], 0.06, 0.12, n_fft)[0]
         assert np.array_equal(row, alone)
 
 
