@@ -27,7 +27,9 @@ from .geometry import (
     check_orders,
     discretize_sheets,
     folded_nodes,
-    sheet_orders,
+    path_sweeps,
+    rule_orders,
+    sheet_span_error,
 )
 
 _MIN_CLEARANCE = 1e-9  # m; below this a grid node sits on an antenna
@@ -248,18 +250,25 @@ def converged_field_ratio_vectors(
     solve: no bit depends on the other targets.
 
     Raises SolveError, a ValueError naming the first failing target in
-    ``targets`` order, when its orders are 4 or less, when a node of its
-    grid lies on the transmitter or an antenna, and when its next grid
-    would exceed ``geometry.MAX_GRID_NODES`` or ``geometry.MAX_ORDER``,
-    giving the change reached (inf before the first pair); no later target
-    is solved further.
+    ``targets`` order. Before any grid is built: when the sheet does not lie
+    strictly between the transmitter and the array plane
+    (``geometry.sheet_span_error``), or when its orders are 4 or less. Then:
+    when a node of its grid lies on the transmitter or an antenna, and when
+    its next grid would exceed ``geometry.MAX_GRID_NODES`` or
+    ``geometry.MAX_ORDER``, giving the change reached (inf before the first
+    pair; an order that overflows reads as inf). No later target is solved
+    further. An empty ``targets`` gives a (0, antennas) array and no reports.
     """
-    if orders is None:
-        orders = sheet_orders(scene, targets)
-    orders = np.array(orders, dtype=int).reshape(len(targets), 2)
-    for i, (ny, nz) in enumerate(orders.tolist()):
-        if min(ny, nz) <= 4:
-            raise SolveError(i, f"quadrature orders must exceed 4, got {ny} x {nz}")
+    if orders is None:  # sheet_orders as floats, so that an order past every budget reads inf
+        orders = rule_orders(path_sweeps(scene, targets))
+    orders = np.array(orders, dtype=float).reshape(len(targets), 2)
+    for i, (target, (ny, nz)) in enumerate(zip(targets, orders.tolist())):
+        outside = sheet_span_error(target.barycenter[0], target.half_width, target.rotation,
+                                   scene.array.central_distance)
+        if outside is not None:
+            raise SolveError(i, outside)
+        if not (ny > 4 and nz > 4):
+            raise SolveError(i, f"quadrature orders must exceed 4, got {ny:g} x {nz:g}")
     link = _Link.of(scene)
     solves = np.empty((2, len(targets), len(link.rx)), dtype=complex)  # checks, finer solves
     change = np.full(len(targets), np.inf)
@@ -274,10 +283,11 @@ def converged_field_ratio_vectors(
                                f"rel_tol {rel_tol:g}: {e}", e)
         if failures:  # a later target's solve cannot change what is raised
             pending = pending[pending < min(failures)]
-        # (orders, target, 0 for the check or 1 for the finer solve), the check first
+        # (orders, target, 0 for the check or 1 for the finer solve), the check first; the
+        # pending orders have passed check_orders, so they fit ints
+        pairs = zip(pending.tolist(), orders[pending].astype(int).tolist())
         tasks = sorted(((ny - 4 + 4 * fine, nz - 4 + 4 * fine), i, fine)
-                       for i, (ny, nz) in zip(pending.tolist(), orders[pending].tolist())
-                       for fine in (0, 1))
+                       for i, (ny, nz) in pairs for fine in (0, 1))
         for chunk in _chunks(tasks, len(link.rx)):
             grid_orders, where, which = zip(*chunk)
             grid = discretize_sheets(scene, [targets[i] for i in where], grid_orders)
@@ -297,5 +307,5 @@ def converged_field_ratio_vectors(
         message, cause = failures[i]
         raise SolveError(i, message) from cause
     reports = [QuadratureReport((ny, nz), folded_nodes(ny, nz), c)
-               for (ny, nz), c in zip(orders.tolist(), change.tolist())]
+               for (ny, nz), c in zip(orders.astype(int).tolist(), change.tolist())]
     return solves[1], reports

@@ -10,6 +10,7 @@ vertically from h - a_z to h + a_z.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,12 +50,13 @@ class ArraySpec:
     central_distance: float  # d_0, m
 
     def __post_init__(self):
-        if self.half_count < 0 or int(self.half_count) != self.half_count:
+        # NaN and inf fail the chained comparisons
+        if not 0 <= self.half_count < math.inf or int(self.half_count) != self.half_count:
             raise ValueError("half_count must be a non-negative integer")
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        if self.central_distance <= 0.0:
-            raise ValueError("central_distance must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
+        if not 0.0 < self.central_distance < math.inf:
+            raise ValueError("central_distance must be positive and finite")
 
     @property
     def num_elements(self) -> int:
@@ -75,8 +77,10 @@ class Scene:
     link_height: float = 0.0            # h, m
 
     def __post_init__(self):
-        if self.carrier_frequency <= 0.0:
-            raise ValueError("carrier_frequency must be positive")
+        if not 0.0 < self.carrier_frequency < math.inf:
+            raise ValueError("carrier_frequency must be positive and finite")
+        if not math.isfinite(self.link_height):
+            raise ValueError("link_height must be finite")
         if self.array.spacing <= self.wavelength / 4.0:
             warnings.warn(
                 f"antenna spacing {self.array.spacing:.4g} m is <= lambda/4 "
@@ -110,10 +114,14 @@ class TargetSheet:
 
     def __post_init__(self):
         object.__setattr__(self, "barycenter", (float(self.barycenter[0]), float(self.barycenter[1])))
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        if self.half_height <= 0.0:
-            raise ValueError("half_height must be positive")
+        if not all(map(math.isfinite, self.barycenter)):
+            raise ValueError("barycenter must be finite")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
+        if not 0.0 < self.half_height < math.inf:
+            raise ValueError("half_height must be positive and finite")
+        if not math.isfinite(self.rotation):
+            raise ValueError("rotation must be finite")
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,21 @@ class QuadratureGrid:
 
     points: np.ndarray  # shape (N, 3)
     areas: np.ndarray   # shape (N,), m^2
+
+
+def sheet_span_error(x, half_width, rotation, central_distance) -> str | None:
+    """Why a sheet centred at ``x`` is outside the link, or None when it lies inside.
+
+    The sheet spans x - r to x + r along the line of sight, with
+    r = half_width |sin rotation|, and must lie strictly between the
+    transmitter (x = 0) and the array plane (x = ``central_distance``).
+    NaN fails no comparison, so it gives None.
+    """
+    reach = half_width * abs(math.sin(rotation))
+    if x - reach <= 0.0 or x + reach >= central_distance:
+        return (f"the sheet spans x = {x - reach:g} to {x + reach:g} m, not strictly between "
+                f"the transmitter (x = 0) and the array (x = {central_distance:g} m)")
+    return None
 
 
 def antenna_positions(scene: Scene) -> np.ndarray:
@@ -173,20 +196,20 @@ def rule_orders(sweep, density: float = 1.0) -> np.ndarray:
         return 4.0 * np.ceil(np.ceil(np.pi * np.asarray(sweep) + ORDER_MARGIN) * density / 4.0)
 
 
-def sheet_orders(scene: Scene, targets, density: float = 1.0) -> np.ndarray:
-    """Start orders (across, up) of each sheet in ``targets``, one row each, as ints.
+# Distances that overflow give inf, and inf - inf a NaN sweep, read as inf.
+@np.errstate(over="ignore", invalid="ignore")
+def path_sweeps(scene: Scene, targets) -> np.ndarray:
+    """Path sweeps (across, up) of each sheet in ``targets``, in wavelengths, one row each.
 
     The path length r1 + r2, in wavelengths, is sampled at each sheet's
     corners, edge midpoints and centre, for the two outermost antennas. An
     axis's path sweep is |p(-1) - p(0)| + |p(1) - p(0)| along each of its
-    three sample lines, the worst over the lines and the two antennas; it
-    gets ``rule_orders(sweep, density)`` nodes. The samples miss the 1/r
-    growth near a link end, so the orders are a start, to be checked
-    (``em_model.converged_field_ratio_vector``). Applies no budget.
+    three sample lines, the worst over the lines and the two antennas; inf
+    when the distances overflow.
     """
     rotation = np.array([t.rotation for t in targets])
-    half = np.array([(t.half_width, t.half_height) for t in targets])  # (P, 2)
-    center = np.array([(*t.barycenter, scene.link_height) for t in targets])  # (P, 3)
+    half = np.array([(t.half_width, t.half_height) for t in targets]).reshape(-1, 2)  # (P, 2)
+    center = np.array([(*t.barycenter, scene.link_height) for t in targets]).reshape(-1, 3)
     in_plane = np.stack([-np.sin(rotation), np.cos(rotation), np.zeros_like(rotation)], axis=1)
     s = np.array([-1.0, 0.0, 1.0])
     # samples[p, i, j] = center + a_y s_i in_plane + a_z s_j vertical, shape (P, 3, 3, 3)
@@ -200,7 +223,19 @@ def sheet_orders(scene: Scene, targets, density: float = 1.0) -> np.ndarray:
     across = np.abs(path[:, :, 0] - path[:, :, 1]) + np.abs(path[:, :, 2] - path[:, :, 1])
     up = np.abs(path[..., 0] - path[..., 1]) + np.abs(path[..., 2] - path[..., 1])
     sweep = np.stack([across.max(axis=(1, 2)), up.max(axis=(1, 2))], axis=1)
-    return rule_orders(sweep, density).astype(int)
+    return np.where(np.isnan(sweep), np.inf, sweep)
+
+
+def sheet_orders(scene: Scene, targets, density: float = 1.0) -> np.ndarray:
+    """Start orders (across, up) of each sheet in ``targets``, one row each, as ints.
+
+    Each axis gets ``rule_orders`` of its ``path_sweeps`` at ``density``.
+    The samples miss the 1/r growth near a link end, so the orders are a
+    start, to be checked (``em_model.converged_field_ratio_vectors``, which
+    reads the rule's floats, so that an order too large for an int reads as
+    inf). Applies no budget.
+    """
+    return rule_orders(path_sweeps(scene, targets), density).astype(int)
 
 
 def check_orders(across, up) -> None:

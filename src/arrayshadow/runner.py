@@ -26,7 +26,7 @@ from .em_model import (DEFAULT_REL_TOL, SolveError, converged_field_ratio_vector
                        excess_attenuation_db)
 from .geometry import (
     MAX_STEP, SPEED_OF_LIGHT, ArraySpec, Scene, TargetSheet, check_orders, rule_orders,
-    sheet_orders,
+    sheet_orders, sheet_span_error,
 )
 from .sensing import (attenuation_spectra, boresight_steering, doa_grid,
                       mean_attenuation_from_snapshots)
@@ -280,8 +280,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if fields["spacing"] == math.inf:
         errors.append("scene.spacing_wavelengths is too large: the spacing overflows")
 
-    # the sheet's rotated extent along the line of sight; NaN fails no check below
-    reach = (fields["target_half_width"] or 0.0) * abs(math.sin(fields["target_rotation"]))
     positions: list[tuple[float, float]] = []
     first_with_tag: dict[str, int] = {}
     label = "target.positions_m"
@@ -291,12 +289,10 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             bad.append(f"{label}[{i}] must be an [x, y] pair")
             continue
         positions.append(tuple(_number(v, f"{label}[{i}]", bad) for v in p))
-        x = positions[-1][0]
-        if x - reach <= 0.0 or x + reach >= d0:
-            bad.append(
-                f"{label}[{i}]: the sheet spans x = {x - reach:g} to {x + reach:g} m, not "
-                f"strictly between the transmitter (x = 0) and the array (x = {d0:g} m)"
-            )
+        outside = sheet_span_error(positions[-1][0], fields["target_half_width"] or 0.0,
+                                   fields["target_rotation"], d0)
+        if outside is not None:
+            bad.append(f"{label}[{i}]: {outside}")
         j = first_with_tag.setdefault(_position_tag(*positions[-1]), i)
         if j != i:
             bad.append(f"{label}[{j}] and [{i}] match to the mm and would share export files")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -181,6 +183,9 @@ class TestDiscretizeSheet:
                 bound = rule_orders(4.0 * np.array([ay, az]) / WAVELENGTH, density)
                 assert np.all(sheet_orders(paper_scene, targets, density) <= bound)
 
+    def test_no_sheets_give_no_orders(self, paper_scene):
+        assert sheet_orders(paper_scene, []).shape == (0, 2)
+
     @pytest.mark.parametrize("orders", [(0, 4), (4, 0), (-4, 8)])
     def test_nonpositive_orders_rejected(self, paper_scene, orders):
         with pytest.raises(ValueError, match="orders must be positive"):
@@ -283,6 +288,30 @@ class TestValidation:
             TargetSheet((1.0, 0.0), 0.0, 0.9)
         with pytest.raises(ValueError):
             TargetSheet((1.0, 0.0), 0.275, -0.1)
+
+    @pytest.mark.parametrize("make, args, field", [
+        (ArraySpec, (math.inf, 0.06, 4.0), "half_count"),  # not an OverflowError
+        (ArraySpec, (math.nan, 0.06, 4.0), "half_count"),
+        (ArraySpec, (2, math.nan, 4.0), "spacing"),
+        (ArraySpec, (2, math.inf, 4.0), "spacing"),
+        (ArraySpec, (2, 0.06, math.nan), "central_distance"),
+        (ArraySpec, (2, 0.06, math.inf), "central_distance"),
+        (Scene, (math.nan, ArraySpec(2, 0.06, 4.0)), "carrier_frequency"),
+        (Scene, (math.inf, ArraySpec(2, 0.06, 4.0)), "carrier_frequency"),
+        (Scene, (2.4868e9, ArraySpec(2, 0.06, 4.0), math.nan), "link_height"),
+        (Scene, (2.4868e9, ArraySpec(2, 0.06, 4.0), -math.inf), "link_height"),
+        (TargetSheet, ((math.nan, 0.0), 0.275, 0.9), "barycenter"),
+        (TargetSheet, ((1.0, math.inf), 0.275, 0.9), "barycenter"),
+        (TargetSheet, ((1.0, 0.0), math.nan, 0.9), "half_width"),
+        (TargetSheet, ((1.0, 0.0), math.inf, 0.9), "half_width"),
+        (TargetSheet, ((1.0, 0.0), 0.275, math.nan), "half_height"),
+        (TargetSheet, ((1.0, 0.0), 0.275, math.inf), "half_height"),
+        (TargetSheet, ((1.0, 0.0), 0.275, 0.9, math.nan), "rotation"),
+        (TargetSheet, ((1.0, 0.0), 0.275, 0.9, -math.inf), "rotation"),
+    ])
+    def test_rejects_non_finite_fields_by_name(self, make, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make(*args)
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):

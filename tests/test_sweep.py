@@ -1,6 +1,7 @@
 """A run's positions are solved together and give every bit of one solve per position."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from arrayshadow import TargetSheet, em_model, geometry, observe, sensing
 from arrayshadow.em_model import SolveError, converged_field_ratio_vectors
-from arrayshadow.runner import SimulationError, parse_scenario, run
+from arrayshadow.runner import ScenarioError, SimulationError, parse_scenario, run
 from arrayshadow.sensing import attenuation_spectra, boresight_steering
 from conftest import make_paper_scene, make_paper_target
 from test_runner import minimal_config
@@ -142,3 +143,75 @@ def test_a_run_holds_nothing_sized_by_positions_times_nodes():
     # run measured 0.09 MB). An array of the 64 positions' nodes (about 900 each) adds
     # 0.46 MB per double, one of their node-antenna terms 7.8 MB.
     assert many - one < many_exported - one_exported + 24 * em_model._BLOCK_NODE_ANTENNAS
+
+
+def test_no_targets_give_an_empty_solve():
+    scene = make_paper_scene(4)
+    ratios, reports = converged_field_ratio_vectors(scene, [])
+    assert ratios.shape == (0, 9) and ratios.dtype == complex
+    assert reports == []
+
+
+def test_a_nan_change_keeps_doubling_until_the_budget(monkeypatch):
+    # the kernel gives NaN for every grid of the sheet at 2 m: its change is NaN, which is
+    # not below rel_tol, so it doubles from 16 x 36 until 128 x 288 exceeds the budget
+    scene = make_paper_scene(2)
+    targets = [make_paper_target(1.0, 0.0), make_paper_target(2.0, 0.0)]
+    kernel = em_model._field_ratios
+
+    def nan_at_two_metres(link, grid, sizes):
+        ratios, close = kernel(link, grid, sizes)
+        first_nodes = np.cumsum(sizes) - sizes
+        ratios[grid.points[first_nodes, 0] > 1.5] = np.nan
+        return ratios, close
+
+    monkeypatch.setattr(em_model, "_field_ratios", nan_at_two_metres)
+    monkeypatch.setattr(geometry, "MAX_GRID_NODES", 5_000)
+    with pytest.raises(SolveError) as err:
+        converged_field_ratio_vectors(scene, targets)
+    assert err.value.index == 1
+    assert str(err.value) == (
+        "quadrature stopped at relative change nan against rel_tol 1e-09: quadrature grid of "
+        "18,432 nodes (128 x 288) exceeds the budget of 5,000 nodes"
+    )
+
+
+@pytest.mark.parametrize("x, rotation_deg, span", [
+    (-1.0, 0.0, "-1 to -1"),
+    (4.0, 0.0, "4 to 4"),
+    (4.5, 0.0, "4.5 to 4.5"),
+    (0.1, 90.0, "-0.175 to 0.375"),
+], ids=["behind_tx", "array_plane", "beyond_array", "rotated_across_tx"])
+def test_a_sheet_outside_the_link_is_refused_before_any_grid(monkeypatch, x, rotation_deg, span):
+    scene = make_paper_scene(2)
+    outside = make_paper_target(x, 0.0, np.radians(rotation_deg))
+    built = []
+    monkeypatch.setattr(em_model, "discretize_sheets", lambda *args: built.append(args))
+    with pytest.raises(SolveError) as err:
+        converged_field_ratio_vectors(scene, [make_paper_target(1.0, 0.0), outside, outside])
+    assert err.value.index == 1
+    assert built == []
+    message = (f"the sheet spans x = {span} m, not strictly between the transmitter (x = 0) "
+               "and the array (x = 4 m)")
+    assert str(err.value) == message
+    with pytest.raises(SolveError, match=f"^{re.escape(message)}$"):
+        observe(scene, outside)
+    # parse's rule and words, after the position's label
+    raw = minimal_config()
+    raw["target"].update(positions_m=[[x, 0.0]], rotation_deg=rotation_deg)
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(json.dumps(raw))
+    assert str(parsed.value) == f"<config>: invalid scenario\n  - target.positions_m[0]: {message}"
+
+
+@pytest.mark.parametrize("half_width, nodes", [
+    (1e6, "2,084,775,120 nodes (104,238,756 x 40)"),
+    (1e300, "inf nodes (inf x inf)"),  # the sheet's distances overflow
+])
+def test_a_sheet_too_wide_for_any_grid_gets_the_budget_message(half_width, nodes):
+    with pytest.raises(SolveError) as err:
+        observe(make_paper_scene(2), TargetSheet((1.0, 0.0), half_width, 0.9))
+    assert str(err.value) == (
+        f"quadrature stopped at relative change inf against rel_tol 1e-09: quadrature grid of "
+        f"{nodes} exceeds the budget of 10,000,000 nodes"
+    )
