@@ -79,6 +79,8 @@ class Scene:
     def __post_init__(self):
         if not 0.0 < self.carrier_frequency < math.inf:
             raise ValueError("carrier_frequency must be positive and finite")
+        if self.wavelength == math.inf:  # parse refuses the same
+            raise ValueError("carrier_frequency is too small: the wavelength overflows")
         if not math.isfinite(self.link_height):
             raise ValueError("link_height must be finite")
         if self.array.spacing <= self.wavelength / 4.0:
