@@ -11,6 +11,13 @@ run at double precision; the real and imaginary parts of the node
 contributions are each accumulated with numpy's pairwise summation. Every
 solver takes a sheet: an empty scene needs no solve, its ratio is exactly 1
 at every antenna.
+
+The kernel takes each path difference in turns, reduced to [-1/2, 1/2],
+and the cosine and sine of its phase from one tangent of the half angle,
+tan(pi t), by numpy's own vectorised loop: numpy's float64 cos and sin
+call the platform's scalar libm, some ten times slower per element. The
+exported bits thus depend on numpy's tan loop as they already depend on its
+pairwise sum.
 """
 
 from __future__ import annotations
@@ -33,11 +40,13 @@ from .geometry import (
 )
 
 _MIN_CLEARANCE = 1e-9  # m; below this a grid node sits on an antenna
-# Antennas x nodes per block of temporaries, whose arrays (128 KB each) stay in
-# cache. A run's grids are summed in chunks of as many whole grids as fit in one
-# block with all antennas (one or two desk grids at M = 8, a dozen at M = 2), so
-# the per-call cost of numpy is paid once per chunk; a grid of more nodes is summed
-# alone, a group of antennas at a time, in blocks of this many antennas x nodes.
+# Antennas x nodes per block of temporaries: the r2 and w buffers (128 KB each at
+# most, as wide as the grids when they are narrower) stay in cache with the x and z
+# rows that every antenna shares. A run's grids are summed in chunks of as many
+# whole grids as fit in one block with all antennas (one or two desk grids at
+# M = 8, a dozen at M = 2), so the per-call cost of numpy is paid once per chunk;
+# a grid of more nodes is summed alone, a group of antennas at a time, in blocks
+# of this many antennas x nodes.
 _BLOCK_NODE_ANTENNAS = 16384
 # The relative change between a solve and its check at which
 # converged_field_ratio_vector stops doubling.
@@ -61,38 +70,23 @@ class SolveError(ValueError):
 
 
 class _Link(NamedTuple):
-    """What every solve in one scene shares: the transmitter, the antennas, d_m and k."""
+    """What every solve in one scene shares: the transmitter, the antennas, d_m and lambda."""
 
     tx: np.ndarray
     rx: np.ndarray          # antenna positions, m = -M .. +M
     dm: np.ndarray          # LoS length to each antenna
-    k: float
     wavelength: float
 
     @classmethod
     def of(cls, scene: Scene) -> _Link:
         rx = antenna_positions(scene)
-        return cls(scene.tx, rx, np.linalg.norm(rx - scene.tx, axis=1),
-                   2.0 * np.pi / scene.wavelength, scene.wavelength)
+        return cls(scene.tx, rx, np.linalg.norm(rx - scene.tx, axis=1), scene.wavelength)
 
 
-def _distances(points: np.ndarray, origins: np.ndarray) -> np.ndarray:
-    """Distance of each row of ``points`` from each row of ``origins``, shape (origins, points).
-
-    One coordinate column at a time: numpy loops over an (N, 3) - (3,)
-    difference, and a norm along its short axis, row by row, several times
-    slower. The sum runs x, y, z in order, as ``np.linalg.norm`` sums them, in
-    two buffers.
-    """
-    d = points[:, 0] - origins[:, 0, None]
-    d *= d
-    t = points[:, 1] - origins[:, 1, None]
-    t *= t
-    d += t
-    np.subtract(points[:, 2], origins[:, 2, None], out=t)
-    t *= t
-    d += t
-    return np.sqrt(d, out=d)
+def _squares(coordinate: np.ndarray, origin: float, out: np.ndarray) -> np.ndarray:
+    """(coordinate - origin)^2 into ``out``."""
+    np.subtract(coordinate, origin, out=out)
+    return np.multiply(out, out, out=out)
 
 
 def _field_ratios(link: _Link, grid: QuadratureGrid, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -109,12 +103,28 @@ def _field_ratios(link: _Link, grid: QuadratureGrid, sizes) -> tuple[np.ndarray,
     the grouping, the block size or the other grids. A group holds as many
     antennas as keep antennas x nodes within ``_BLOCK_NODE_ANTENNAS``, at
     least one.
+
+    Every antenna sits at x = d0 and at the transmitter's height, so a
+    block's (x - d0)^2 and (z - h)^2 are one row each and only (y - y_m)^2
+    is per antenna; r2 sums them x, y, z, in ``np.linalg.norm``'s order. The
+    path difference is taken in turns, t = (r1 + r2 - d_m) / lambda, less
+    rint(t), so t lies in [-1/2, 1/2] and phase / 2 = pi t. With
+    tau = tan(pi t),
+
+        cos(phase) = (1 - tau^2) / (1 + tau^2),   sin(phase) = 2 tau / (1 + tau^2),
+
+    and no sign table is needed. At t = +-1/2, tau is about 1.6e16, so every
+    term stays finite. numpy's float64 tan is its own SIMD loop: its bits
+    depend on no offset, stride or length of the array, and differ from
+    glibc's tan by 1 ulp on about 0.5 % of arguments. Every temporary is a
+    buffer made once per call, at most one block wide and no wider than the
+    grids.
     """
     points, areas = grid.points, grid.areas
     n = len(areas)
     group = min(len(link.rx), max(1, _BLOCK_NODE_ANTENNAS // n))
     block = max(1, _BLOCK_NODE_ANTENNAS // group)
-    blocks = [slice(start, start + block) for start in range(0, n, block)]
+    blocks = [slice(start, min(start + block, n)) for start in range(0, n, block)]
     ends = np.cumsum(sizes)
     grids = [slice(end - size, end) for end, size in zip(ends.tolist(), sizes)]
     close = np.zeros(len(grids), dtype=bool)
@@ -127,30 +137,54 @@ def _field_ratios(link: _Link, grid: QuadratureGrid, sizes) -> tuple[np.ndarray,
             close[np.searchsorted(ends, nodes, side="right")] = True
             dist[near] = 1.0  # a flagged grid's terms are never read; this keeps them finite
 
+    width = min(block, n)
+    dx2, dz2 = np.empty(width), np.empty(width)  # a block's (x - x0)^2 and (z - z0)^2
+    r2, w = np.empty((group, width)), np.empty((group, width))
+
     r1 = np.empty(n)
     for b in blocks:
-        r1[b] = _distances(points[b], link.tx[None])[0]
+        span = slice(0, b.stop - b.start)
+        dist = _squares(points[b, 0], link.tx[0], r1[b])
+        dist += _squares(points[b, 1], link.tx[1], dx2[span])  # dx2 as scratch
+        dist += _squares(points[b, 2], link.tx[2], dz2[span])
+        np.sqrt(dist, out=dist)
     clear(r1, 0)
 
     sums = np.empty((2, len(grids), len(link.rx)))  # of the w sin and the w cos terms
     real, imag = np.empty((group, n)), np.empty((group, n))
+    x0, _, z0 = link.rx[0]  # every antenna's x and z
     for first in range(0, len(link.rx), group):
-        rx, dm = link.rx[first:first + group], link.dm[first:first + group, None]
-        rows, antennas = slice(0, len(rx)), slice(first, first + len(rx))
+        y, dm = link.rx[first:first + group, 1, None], link.dm[first:first + group, None]
+        rows, antennas = slice(0, len(y)), slice(first, first + len(y))
         for b in blocks:
-            r2 = _distances(points[b], rx)
-            clear(r2, b.start)
-            # in place, in the operation order of areas / (r1 r2) and k (r1 + r2 - d_m),
-            # so the buffers change no bit
-            w = r1[b] * r2
-            np.divide(areas[b], w, out=w)
-            phase = r2
-            phase += r1[b]
-            phase -= dm
-            phase *= link.k
-            for part, fn in ((real[rows, b], np.cos), (imag[rows, b], np.sin)):
-                fn(phase, out=part)
-                part *= w
+            span = slice(0, b.stop - b.start)
+            re, im, dist, wb = real[rows, b], imag[rows, b], r2[rows, span], w[rows, span]
+            _squares(points[b, 0], x0, dx2[span])
+            _squares(points[b, 2], z0, dz2[span])
+            # y - y_m: numpy buffers each broadcast operand, so the y row is copied first
+            dist[...] = points[b, 1]
+            dist -= y
+            dist *= dist
+            dist += dx2[span]  # in the order x, y, z
+            dist += dz2[span]
+            np.sqrt(dist, out=dist)
+            clear(dist, b.start)
+            # in place, in the operation order of areas / (r1 r2)
+            np.multiply(r1[b], dist, out=wb)
+            np.divide(areas[b], wb, out=wb)
+            turns = dist  # (r1 + r2 - d_m) / lambda, reduced to [-1/2, 1/2]
+            turns += r1[b]
+            turns -= dm
+            turns /= link.wavelength
+            turns -= np.rint(turns, out=re)
+            turns *= np.pi
+            tau = np.tan(turns, out=turns)  # tan(phase / 2)
+            np.multiply(tau, tau, out=im)
+            wb /= np.add(im, 1.0, out=re)  # w / (1 + tau^2)
+            np.subtract(1.0, im, out=re)
+            re *= wb  # w cos(phase)
+            np.add(tau, tau, out=im)
+            im *= wb  # w sin(phase)
         for g, nodes in enumerate(grids):
             sums[0, g, antennas] = np.sum(imag[rows, nodes], axis=1)
             sums[1, g, antennas] = np.sum(real[rows, nodes], axis=1)

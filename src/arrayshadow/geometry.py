@@ -245,33 +245,41 @@ def check_orders(across, up) -> None:
 
     The budgets are ``MAX_GRID_NODES`` on the ``across * ceil(up / 2)`` nodes
     that ``discretize_sheet`` builds and ``MAX_ORDER`` on either order. Float
-    and infinite orders are read as given, so a bound can be checked.
+    and infinite orders are read as given, so a bound can be checked; a
+    count past the int64 range is spelled in ``g`` format.
     """
     nodes = across * np.ceil(up / 2.0)
     if nodes > MAX_GRID_NODES:
         raise ValueError(
-            f"quadrature grid of {nodes:,.0f} nodes ({across:,.0f} x {up:,.0f}) exceeds "
-            f"the budget of {MAX_GRID_NODES:,} nodes"
+            f"quadrature grid of {_count(nodes)} nodes ({_count(across)} x {_count(up)}) "
+            f"exceeds the budget of {MAX_GRID_NODES:,} nodes"
         )
     if max(across, up) > MAX_ORDER:
         raise ValueError(
-            f"quadrature order {max(across, up):,.0f} along the sheet exceeds the cap of "
+            f"quadrature order {_count(max(across, up))} along the sheet exceeds the cap of "
             f"{MAX_ORDER:,} nodes per axis"
         )
+
+
+def _count(value) -> str:
+    """``value`` in full with thousands separators, or in ``g`` format past the int64 range."""
+    return f"{value:,.0f}" if abs(value) < 2.0**63 else f"{value:g}"
 
 
 def discretize_sheet(target: TargetSheet, scene: Scene, orders=None) -> QuadratureGrid:
     """Tensor Gauss-Legendre rule on the (possibly rotated) sheet, folded about z = h.
 
     ``orders`` is (across, up), the orders along the sheet's width and
-    height; by default the sheet's ``sheet_orders``. Raises ValueError
-    before allocation when the grid exceeds a budget (``check_orders``).
+    height; by default the sheet's ``sheet_orders`` as floats, so that the
+    budget sees an order too large for an int before any cast. Raises
+    ValueError before allocation when the grid exceeds a budget
+    (``check_orders``).
     Only the nodes with z >= h are built, each at twice its weight, but the
     node at z = h of an odd order keeps its own weight; the weights sum to
     the sheet area. The one-grid case of ``discretize_sheets``.
     """
     if orders is None:
-        orders = sheet_orders(scene, [target])[0]
+        orders = rule_orders(path_sweeps(scene, [target]))[0]
     return discretize_sheets(scene, [target], [orders])
 
 
@@ -288,13 +296,15 @@ def discretize_sheets(scene: Scene, targets, orders) -> QuadratureGrid:
     its offsets along the sheet, its heights and its areas are computed
     once, and every sheet's nodes are placed in one broadcast per
     coordinate. Raises ValueError before allocation when a grid exceeds a
-    budget (``check_orders``).
+    budget (``check_orders``), which reads the orders as given, before they
+    are cast to int.
     """
-    orders = [(int(ny), int(nz)) for ny, nz in orders]
+    orders = [(ny, nz) for ny, nz in np.asarray(orders).tolist()]
     for ny, nz in dict.fromkeys(orders):  # each distinct orders once, in order
-        if min(ny, nz) < 1:
-            raise ValueError(f"quadrature orders must be positive, got {ny} x {nz}")
         check_orders(ny, nz)
+        if min(ny, nz) < 1:
+            raise ValueError(f"quadrature orders must be positive, got {ny:g} x {nz:g}")
+    orders = [(int(ny), int(nz)) for ny, nz in orders]
     runs: list[list] = []  # [rule key, sheets]: consecutive sheets that share a rule
     for target, (ny, nz) in zip(targets, orders):
         key = (target.half_width, target.half_height, target.rotation, ny, nz)

@@ -18,7 +18,7 @@ from arrayshadow import (
     excess_attenuation_db,
     field_ratio_vector,
 )
-from arrayshadow.geometry import discretize_sheets, gauss_legendre, sheet_orders
+from arrayshadow.geometry import SPEED_OF_LIGHT, discretize_sheets, gauss_legendre, sheet_orders
 from arrayshadow.oracles import dense_quadrature_field_ratio, free_space_ratio_vector
 from conftest import CARRIER_HZ, WAVELENGTH, make_paper_scene, make_paper_target
 
@@ -86,6 +86,64 @@ class TestFieldRatio:
             terms = np.exp(-2j * np.pi / WAVELENGTH * (r1 + r2 - dm)) / (r1 * r2) * grid.areas
             expected.append(1.0 - 1j * dm / WAVELENGTH * np.sum(terms))
         assert_allclose(field_ratio_vector(scene, target, grid), expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("central_distance", [4.0, 400.0, 4_000.0])
+    def test_agrees_with_a_sum_reduced_to_turns_in_long_double(self, central_distance):
+        # the sheet scales with the first Fresnel zone, so every link casts a shadow
+        s = np.sqrt(central_distance / 4.0)
+        scene = Scene(CARRIER_HZ, ArraySpec(8, WAVELENGTH / 2, central_distance), link_height=0.9)
+        target = TargetSheet((0.325 * central_distance, 0.2 * s), 0.275 * s, 0.9 * s,
+                             np.radians(30.0))
+        grid = discretize_sheet(target, scene)
+        r1 = np.linalg.norm(grid.points - scene.tx, axis=1)
+        expected = []
+        for rx in antenna_positions(scene):
+            r2 = np.linalg.norm(grid.points - rx, axis=1)
+            dm = np.linalg.norm(rx - scene.tx)
+            turns = (r1 + r2 - dm).astype(np.longdouble) / np.longdouble(scene.wavelength)
+            phase = 2.0 * np.pi * (turns - np.rint(turns)).astype(float)
+            terms = np.exp(-1j * phase) / (r1 * r2) * grid.areas
+            expected.append(1.0 - 1j * dm / scene.wavelength * np.sum(terms))
+        assert_allclose(field_ratio_vector(scene, target, grid), expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("central_distance, x, y, turns", [  # lengths in 1/128 m
+        (140, 70, 24, 0.5),  # r1 = r2 = 74: a path difference of 8, half a turn
+        (132, 105, 36, 1.5),  # r1 = 111, r2 = 45: 24, reduced to -1/2
+    ])
+    def test_path_differences_of_half_a_turn_give_finite_ratios(
+        self, central_distance, x, y, turns
+    ):
+        # lambda = 1/8 m exactly; the nodes' distances are Pythagorean triples, so every
+        # path difference reduces exactly to +-1/2 turn, where tan(pi t) is about 1.6e16
+        scene = Scene(8.0 * SPEED_OF_LIGHT, ArraySpec(0, 1.0, central_distance / 128))
+        assert scene.wavelength == 0.125
+        points = np.array([[x, y, 0], [x, -y, 0], [x, 0, y], [x, 0, -y]]) / 128
+        grid = QuadratureGrid(points=points, areas=np.full(4, 1e-4))
+        r1 = np.linalg.norm(points, axis=1)
+        r2 = np.linalg.norm(points - antenna_positions(scene)[0], axis=1)
+        assert np.all((r1 + r2 - central_distance / 128) / 0.125 == turns)
+        ratios = field_ratio_vector(scene, make_paper_target(), grid)
+        assert np.all(np.isfinite(ratios.view(float)))
+        # every term is exp(-j pi) dS / (r1 r2) = -dS / (r1 r2)
+        expected = 1.0 + 1j * central_distance / 128 / 0.125 * np.sum(grid.areas / (r1 * r2))
+        assert_allclose(ratios, [expected], rtol=1e-13)
+
+    def test_a_desk_call_keeps_its_temporaries_to_the_width_of_its_grids(self):
+        # The on-LoS check and solve in one call: 288 + 400 nodes at 5 antennas. The r2 and w
+        # buffers span 688 nodes, not the 3,276 of a block: at a block's width the call peaks
+        # at 462,185 B. The cos and sin kernel this one replaced peaked at 174,401 B.
+        scene = make_paper_scene(2)
+        grid = discretize_sheets(scene, [make_paper_target()] * 2, [(16, 36), (20, 40)])
+        link = em_model._Link.of(scene)
+        em_model._field_ratios(link, grid, [288, 400])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            em_model._field_ratios(link, grid, [288, 400])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid.areas) == 688
+        assert peak <= 174_401 + 16_384
 
     @pytest.mark.parametrize("half_count", [0, 2, 8])
     def test_solve_holds_three_doubles_per_node(self, half_count):

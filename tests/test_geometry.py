@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,21 @@ class TestDiscretizeSheet:
             discretize_sheet(make_paper_target(), paper_scene, (1_000, 20_002))
         with pytest.raises(ValueError, match="inf nodes"):
             check_orders(np.inf, 16.0)
+
+    @pytest.mark.parametrize("half_width, nodes", [
+        (1e150, "2.08478e+153 nodes (1.04239e+152 x 40)"),  # orders past the int64 range
+        (1e300, "inf nodes (inf x inf)"),  # the sheet's distances overflow
+    ])
+    def test_default_orders_too_large_for_an_int_get_the_budget_message(
+        self, paper_scene, half_width, nodes
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of an overflowing order to int
+            with pytest.raises(ValueError) as err:
+                discretize_sheet(TargetSheet((1.0, 0.0), half_width, 0.9), paper_scene)
+        assert str(err.value) == (
+            f"quadrature grid of {nodes} exceeds the budget of 10,000,000 nodes"
+        )
 
 
 class TestFrameProperties:

@@ -206,6 +206,7 @@ def test_a_sheet_outside_the_link_is_refused_before_any_grid(monkeypatch, x, rot
 
 @pytest.mark.parametrize("half_width, nodes", [
     (1e6, "2,084,775,120 nodes (104,238,756 x 40)"),
+    (1e150, "2.08478e+153 nodes (1.04239e+152 x 40)"),  # counts past the int64 range
     (1e300, "inf nodes (inf x inf)"),  # the sheet's distances overflow
 ])
 def test_a_sheet_too_wide_for_any_grid_gets_the_budget_message(half_width, nodes):
@@ -215,3 +216,4 @@ def test_a_sheet_too_wide_for_any_grid_gets_the_budget_message(half_width, nodes
         f"quadrature stopped at relative change inf against rel_tol 1e-09: quadrature grid of "
         f"{nodes} exceeds the budget of 10,000,000 nodes"
     )
+    assert len(str(err.value)) < 250
