@@ -103,8 +103,9 @@ def main(argv=None) -> int:
             print(f"at most {exported_bound(config):,} exported values, against a budget of "
                   f"{MAX_EXPORTED_VALUES:,}")
             if any(k != "array_factor" for k in config.outputs):
-                orders = start_orders(config, config.scene(), config.positions)
-                for (x, y), (across, up) in zip(config.positions, orders.tolist()):
+                targets = [config.target_at(x, y) for x, y in config.positions]
+                orders = start_orders(config, config.scene(), targets)  # within parse's bound
+                for (x, y), (across, up) in zip(config.positions, orders.astype(int).tolist()):
                     print(f"position ({x:g}, {y:g}): start orders {across} x {up}, "
                           f"{folded_nodes(across, up):,} folded nodes")
             return 0

@@ -34,8 +34,7 @@ from .geometry import (
     check_orders,
     discretize_sheets,
     folded_nodes,
-    path_sweeps,
-    rule_orders,
+    sheet_orders,
     sheet_span_error,
 )
 
@@ -196,20 +195,12 @@ def _field_ratios(link: _Link, grid: QuadratureGrid, sizes) -> tuple[np.ndarray,
     return out, close
 
 
-def field_ratio_vector(
-    scene: Scene,
-    target: TargetSheet,
-    grid: QuadratureGrid | None = None,
-) -> np.ndarray:
-    """Field ratios E/E_ref of ``target`` at every antenna, ordered m = -M .. +M.
+def field_ratio_vector(scene: Scene, target: TargetSheet, grid: QuadratureGrid) -> np.ndarray:
+    """Field ratios E/E_ref of ``target`` at every antenna from ``grid``'s sum, m = -M .. +M.
 
-    Without a grid, the ratios are those of the checked solve,
-    ``converged_field_ratio_vector`` at its defaults: the start orders alone
-    can be far off near a link end. With one, the grid's sum; raises
-    ValueError when a node lies on the transmitter or an antenna.
+    One sum, unchecked: the checked solve is ``converged_field_ratio_vector``.
+    Raises ValueError when a node lies on the transmitter or an antenna.
     """
-    if grid is None:
-        return converged_field_ratio_vector(scene, target)[0]
     ratios, close = _field_ratios(_Link.of(scene), grid, [len(grid.areas)])
     if close[0]:
         raise ValueError("target intersects antenna")
@@ -286,16 +277,16 @@ def converged_field_ratio_vectors(
     Raises SolveError, a ValueError naming the first failing target in
     ``targets`` order. Before any grid is built: when the sheet does not lie
     strictly between the transmitter and the array plane
-    (``geometry.sheet_span_error``), or when its orders are 4 or less. Then:
-    when a node of its grid lies on the transmitter or an antenna, and when
-    its next grid would exceed ``geometry.MAX_GRID_NODES`` or
-    ``geometry.MAX_ORDER``, giving the change reached (inf before the first
-    pair; an order that overflows reads as inf). No later target is solved
-    further. An empty ``targets`` gives a (0, antennas) array and no reports.
+    (``geometry.sheet_span_error``), when its orders are 4 or less, or when
+    a finite order is not an integer. Then: when a node of its grid lies on
+    the transmitter or an antenna, and when its next grid would exceed
+    ``geometry.MAX_GRID_NODES`` or ``geometry.MAX_ORDER``, giving the change
+    reached (inf before the first pair; an order that overflows reads as
+    inf). No later target is solved further. An empty ``targets`` gives a
+    (0, antennas) array and no reports.
     """
-    if orders is None:  # sheet_orders as floats, so that an order past every budget reads inf
-        orders = rule_orders(path_sweeps(scene, targets))
-    orders = np.array(orders, dtype=float).reshape(len(targets), 2)
+    orders = np.array(sheet_orders(scene, targets) if orders is None else orders,
+                      dtype=float).reshape(len(targets), 2)
     for i, (target, (ny, nz)) in enumerate(zip(targets, orders.tolist())):
         outside = sheet_span_error(target.barycenter[0], target.half_width, target.rotation,
                                    scene.array.central_distance)
@@ -303,6 +294,8 @@ def converged_field_ratio_vectors(
             raise SolveError(i, outside)
         if not (ny > 4 and nz > 4):
             raise SolveError(i, f"quadrature orders must exceed 4, got {ny:g} x {nz:g}")
+        if ny % 1 > 0 or nz % 1 > 0:  # inf % 1 is NaN: an infinite order meets the budget
+            raise SolveError(i, f"quadrature orders must be integers, got {ny:g} x {nz:g}")
     link = _Link.of(scene)
     solves = np.empty((2, len(targets), len(link.rx)), dtype=complex)  # checks, finer solves
     change = np.full(len(targets), np.inf)

@@ -229,15 +229,14 @@ def path_sweeps(scene: Scene, targets) -> np.ndarray:
 
 
 def sheet_orders(scene: Scene, targets, density: float = 1.0) -> np.ndarray:
-    """Start orders (across, up) of each sheet in ``targets``, one row each, as ints.
+    """Start orders (across, up) of each sheet in ``targets``, one row each, as floats.
 
-    Each axis gets ``rule_orders`` of its ``path_sweeps`` at ``density``.
-    The samples miss the 1/r growth near a link end, so the orders are a
-    start, to be checked (``em_model.converged_field_ratio_vectors``, which
-    reads the rule's floats, so that an order too large for an int reads as
-    inf). Applies no budget.
+    Each axis gets ``rule_orders`` of its ``path_sweeps`` at ``density``:
+    a start, to be checked (``em_model.converged_field_ratio_vectors``), as
+    the samples miss the 1/r growth near a link end. No budget applies, so
+    an order too large for an int reads inf: cast only once one bounds them.
     """
-    return rule_orders(path_sweeps(scene, targets), density).astype(int)
+    return rule_orders(path_sweeps(scene, targets), density)
 
 
 def check_orders(across, up) -> None:
@@ -270,16 +269,15 @@ def discretize_sheet(target: TargetSheet, scene: Scene, orders=None) -> Quadratu
     """Tensor Gauss-Legendre rule on the (possibly rotated) sheet, folded about z = h.
 
     ``orders`` is (across, up), the orders along the sheet's width and
-    height; by default the sheet's ``sheet_orders`` as floats, so that the
-    budget sees an order too large for an int before any cast. Raises
-    ValueError before allocation when the grid exceeds a budget
-    (``check_orders``).
-    Only the nodes with z >= h are built, each at twice its weight, but the
-    node at z = h of an odd order keeps its own weight; the weights sum to
-    the sheet area. The one-grid case of ``discretize_sheets``.
+    height; by default the sheet's ``sheet_orders``. Raises ValueError
+    before allocation when the grid exceeds a budget (``check_orders``) or
+    an order is not a positive integer. Only the nodes with z >= h are
+    built, each at twice its weight, but the node at z = h of an odd order
+    keeps its own weight; the weights sum to the sheet area. The one-grid
+    case of ``discretize_sheets``.
     """
     if orders is None:
-        orders = rule_orders(path_sweeps(scene, [target]))[0]
+        orders = sheet_orders(scene, [target])[0]
     return discretize_sheets(scene, [target], [orders])
 
 
@@ -297,13 +295,15 @@ def discretize_sheets(scene: Scene, targets, orders) -> QuadratureGrid:
     once, and every sheet's nodes are placed in one broadcast per
     coordinate. Raises ValueError before allocation when a grid exceeds a
     budget (``check_orders``), which reads the orders as given, before they
-    are cast to int.
+    are cast to int, or when an order is not a positive integer.
     """
     orders = [(ny, nz) for ny, nz in np.asarray(orders).tolist()]
     for ny, nz in dict.fromkeys(orders):  # each distinct orders once, in order
         check_orders(ny, nz)
         if min(ny, nz) < 1:
             raise ValueError(f"quadrature orders must be positive, got {ny:g} x {nz:g}")
+        if ny % 1 > 0 or nz % 1 > 0:
+            raise ValueError(f"quadrature orders must be integers, got {ny:g} x {nz:g}")
     orders = [(int(ny), int(nz)) for ny, nz in orders]
     runs: list[list] = []  # [rule key, sheets]: consecutive sheets that share a rule
     for target, (ny, nz) in zip(targets, orders):

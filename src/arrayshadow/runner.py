@@ -38,6 +38,9 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as j
 # The most values one run may export. It admits nine positions at n_fft = 2**20,
 # which peak at about 260 MB.
 MAX_EXPORTED_VALUES = 10_000_000
+# The most positions one run may hold: beyond its values a run holds about 1.5 KB
+# per position, so a mean-only desk run at the cap adds about 150 MB RSS.
+MAX_POSITIONS = 100_000
 # The longest link, in wavelengths. Much longer links lose the digits of the path
 # difference r1 + r2 - d0: at 1e15 m an absorbing sheet reads as a 17 dB gain.
 _MAX_LINK_WAVELENGTHS = 1e6
@@ -284,7 +287,11 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     first_with_tag: dict[str, int] = {}
     label = "target.positions_m"
     bad: list[str] = []
-    for i, p in enumerate(_typed(sections["target"].get("positions_m"), list, label, errors, [])):
+    listed = _typed(sections["target"].get("positions_m"), list, label, errors, [])
+    too_many = len(listed) > MAX_POSITIONS
+    if too_many:  # refused before each position is checked, at about 5 us a position
+        errors.append(f"{label}: {len(listed):,} positions exceed the cap of {MAX_POSITIONS:,}")
+    for i, p in enumerate(() if too_many else listed):
         if not isinstance(p, list) or len(p) != 2:
             bad.append(f"{label}[{i}] must be an [x, y] pair")
             continue
@@ -320,7 +327,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if any(k != "array_factor" for k in outputs):
         if fields["target_half_width"] is None or fields["target_half_height"] is None:
             errors.append("target: half_width_m and half_height_m are required for attenuation outputs")
-        if not positions:
+        if not positions and not too_many:
             errors.append(f"{label} must be non-empty for attenuation outputs")
 
     label = "array_factor.spacings_wavelengths"
@@ -376,13 +383,8 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(text, source=str(path))
 
 
-def start_orders(config: ScenarioConfig, scene: Scene, positions) -> np.ndarray:
-    """Start orders (across, up) of the sheet solve at each of ``positions``, one row each.
-
-    The rule's orders (``geometry.sheet_orders``) at the density
-    ``MAX_STEP / quadrature_step``, for all positions in one call.
-    """
-    targets = [config.target_at(x, y) for x, y in positions]
+def start_orders(config: ScenarioConfig, scene: Scene, targets) -> np.ndarray:
+    """Start orders of the run's ``targets``: ``sheet_orders`` at MAX_STEP / quadrature_step."""
     return sheet_orders(scene, targets, MAX_STEP / config.quadrature_step)
 
 
@@ -398,7 +400,7 @@ def _sweep_blocks(
     targets = [config.target_at(x, y) for x, y in positions]
     try:
         ratios = converged_field_ratio_vectors(scene, targets, config.quadrature_rel_tol,
-                                               start_orders(config, scene, positions))[0]
+                                               start_orders(config, scene, targets))[0]
     except SolveError as e:
         x, y = positions[e.index]
         raise SimulationError(f"position ({x:g}, {y:g}): {e}") from e

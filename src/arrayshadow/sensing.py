@@ -18,9 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .array_model import nearfield_steering
-from .em_model import (_BLOCK_NODE_ANTENNAS, DEFAULT_REL_TOL, QuadratureReport,
-                       converged_field_ratio_vector)
+from .em_model import DEFAULT_REL_TOL, QuadratureReport, converged_field_ratio_vector
 from .geometry import Scene, TargetSheet
+
+# Rows x n_fft per FFT call of attenuation_spectra: a call's transients stay under
+# about 0.8 MB while n_fft <= 8,192, above which a call takes one occupied row.
+_FFT_BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def attenuation_spectra(
 
     The empty vector and the occupied ones are zero-padded to ``n_fft`` and
     transformed together, as many occupied rows per call as keep rows x
-    ``n_fft`` within em_model's block of 16,384, at least one; each row of
+    ``n_fft`` within ``_FFT_BLOCK_VALUES``, at least one; each row of
     the result holds, at the bins that map to a direction of arrival
     (``doa_grid``, by ascending gamma), 20 log10 of the empty-over-occupied
     magnitude ratio. So a common scale on the two vectors cancels, as does
@@ -144,7 +147,7 @@ def attenuation_spectra(
         raise ValueError(f"n_fft {n_fft} smaller than the array size {n}")
     bins = doa_grid(spacing, wavelength, n_fft)[0]
     out = np.empty((len(r_occupied), len(bins)))
-    rows = max(1, _BLOCK_NODE_ANTENNAS // n_fft)
+    rows = max(1, _FFT_BLOCK_VALUES // n_fft)
     for first in range(0, len(r_occupied), rows):
         magnitudes = np.abs(np.fft.fft(np.vstack([r_empty, r_occupied[first:first + rows]]), n_fft))
         with np.errstate(divide="ignore"):

@@ -65,7 +65,8 @@ class TestFreeSpaceRatio:
 class TestFieldRatio:
     def test_vanishing_sheet_tends_to_one(self, paper_scene):
         target = TargetSheet((1.0, 0.0), 1e-6, 1e-6)
-        assert field_ratio_vector(paper_scene, target)[2] == pytest.approx(1.0, abs=1e-6)
+        ratio = converged_field_ratio_vector(paper_scene, target)[0][2]
+        assert ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_on_los_attenuation_matches_reported_range(self, paper_scene):
         grid = discretize_sheet(make_paper_target(), paper_scene)
@@ -178,7 +179,7 @@ class TestFieldRatio:
     def test_full_plane_sheet_kills_the_field(self, paper_scene):
         # 40-wavelength square centered on the LoS; residual is edge leakage
         target = TargetSheet((1.0, 0.0), 20 * WAVELENGTH, 20 * WAVELENGTH)
-        ratio = field_ratio_vector(paper_scene, target)[2]
+        ratio = converged_field_ratio_vector(paper_scene, target)[0][2]
         assert abs(ratio) == pytest.approx(0.0738, abs=0.005)
         assert abs(ratio) < 0.08
 
@@ -186,7 +187,7 @@ class TestFieldRatio:
         magnitudes = []
         for mult in (1, 2, 4, 8):
             target = TargetSheet((1.0, 0.0), 0.275 * mult, 0.9 * mult)
-            magnitudes.append(abs(field_ratio_vector(paper_scene, target)[2]))
+            magnitudes.append(abs(converged_field_ratio_vector(paper_scene, target)[0][2]))
         assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
         assert magnitudes[-1] < 0.05
 
@@ -204,14 +205,15 @@ class TestFieldRatio:
             field_ratio_vector(paper_scene, make_paper_target(), on_m2)
 
     def test_knife_edge_on_central_los(self, paper_scene):
-        att = excess_attenuation_db(field_ratio_vector(paper_scene, edge_sheet(0.0))[2])
+        ratios = converged_field_ratio_vector(paper_scene, edge_sheet(0.0))[0]
+        att = excess_attenuation_db(ratios[2])
         assert att == pytest.approx(6.02, abs=0.1)
 
     def test_knife_edge_on_outer_antenna_los(self, paper_scene):
         # the m=2 ray crosses the sheet plane at half its transverse offset
         edge_y = 0.5 * 2 * WAVELENGTH / 2
         target = edge_sheet(edge_y)
-        att = excess_attenuation_db(field_ratio_vector(paper_scene, target)[4])
+        att = excess_attenuation_db(converged_field_ratio_vector(paper_scene, target)[0][4])
         assert att == pytest.approx(6.02, abs=0.1)
 
 
@@ -226,8 +228,8 @@ class TestExcessAttenuation:
 
     def test_mirror_symmetry(self, paper_scene):
         for m, y in ((2, 0.3), (1, -0.15)):
-            a = field_ratio_vector(paper_scene, make_paper_target(1.0, y))[m + 2]
-            b = field_ratio_vector(paper_scene, make_paper_target(1.0, -y))[-m + 2]
+            a = converged_field_ratio_vector(paper_scene, make_paper_target(1.0, y))[0][m + 2]
+            b = converged_field_ratio_vector(paper_scene, make_paper_target(1.0, -y))[0][-m + 2]
             assert b == pytest.approx(a, rel=1e-9)
 
 
@@ -304,10 +306,16 @@ class TestQuadratureConvergence:
         twice = discretize_sheet(target, paper_scene, [2 * n for n in expected[-1]])
         assert_allclose(ratios, field_ratio_vector(paper_scene, target, twice), rtol=1e-9)
 
-    @pytest.mark.parametrize("orders", [(4, 40), (20, 4), (0, 0)])
+    @pytest.mark.parametrize("orders", [(4, 40), (20, 4), (0, 0), (20.7, 40)])
     def test_orders_of_four_or_less_rejected(self, paper_scene, orders):
-        with pytest.raises(ValueError, match="orders must exceed 4"):
+        # a fraction is refused too, where it would be truncated
+        message = "orders must be integers" if orders[0] % 1 else "orders must exceed 4"
+        with pytest.raises(ValueError, match=message):
             converged_field_ratio_vector(paper_scene, make_paper_target(), orders=orders)
+        with pytest.raises(em_model.SolveError, match=message) as err:  # before any grid
+            em_model.converged_field_ratio_vectors(
+                paper_scene, [make_paper_target()] * 2, orders=[(20, 40), orders])
+        assert err.value.index == 1
 
     def test_returned_change_is_that_of_the_last_pair(self, paper_scene, converged_on_los):
         ratios, report = converged_on_los
@@ -364,7 +372,7 @@ SHEETS = dict(
 
 def full_gauss_legendre_grid(scene: Scene, target: TargetSheet, orders) -> QuadratureGrid:
     """The Gauss-Legendre grid at ``orders`` over the whole sheet, below the link plane too."""
-    ny, nz = orders
+    ny, nz = map(int, orders)  # gauss_legendre takes ints; sheet_orders gives floats
     ay, az = target.half_width, target.half_height
     (u, wu), (v, wv) = gauss_legendre(ny), gauss_legendre(nz)
     uu, vv = (a.ravel() for a in np.meshgrid(ay * u, az * v, indexing="ij"))
@@ -376,14 +384,14 @@ def full_gauss_legendre_grid(scene: Scene, target: TargetSheet, orders) -> Quadr
 
 
 def scaled_solve(scale, x, y, theta, half_width, half_height, half_count):
-    """Start-order field ratios of a desk link with every length and the wavelength times scale."""
+    """Checked-solve field ratios of a desk link with every length and the wavelength times scale."""
     scene = Scene(
         CARRIER_HZ / scale,
         ArraySpec(half_count, scale * WAVELENGTH / 2.0, scale * 4.0),
         link_height=scale * 0.9,
     )
     target = TargetSheet((scale * x, scale * y), scale * half_width, scale * half_height, theta)
-    return field_ratio_vector(scene, target)
+    return converged_field_ratio_vector(scene, target)[0]
 
 
 class TestPhysicsInvariants:
@@ -435,7 +443,8 @@ class TestPhysicsInvariants:
     )
     def test_a_sheet_far_off_the_link_barely_attenuates(self, x, y, theta, half_count):
         # the desk sheet 3-4 m to the side reads at most about 0.24 dB at any antenna
-        ratios = field_ratio_vector(make_paper_scene(half_count), make_paper_target(x, y, theta))
+        ratios = converged_field_ratio_vector(make_paper_scene(half_count),
+                                              make_paper_target(x, y, theta))[0]
         assert np.all(np.abs(excess_attenuation_db(ratios)) < 0.5)
 
     @settings(max_examples=10, deadline=None, derandomize=True)

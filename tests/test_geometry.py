@@ -187,10 +187,18 @@ class TestDiscretizeSheet:
     def test_no_sheets_give_no_orders(self, paper_scene):
         assert sheet_orders(paper_scene, []).shape == (0, 2)
 
-    @pytest.mark.parametrize("orders", [(0, 4), (4, 0), (-4, 8)])
+    @pytest.mark.parametrize("orders", [(0, 4), (4, 0), (-4, 8), (20.7, 40.2)])
     def test_nonpositive_orders_rejected(self, paper_scene, orders):
-        with pytest.raises(ValueError, match="orders must be positive"):
+        # a fraction is refused too, where it would be truncated
+        message = "orders must be integers" if orders[0] % 1 else "orders must be positive"
+        with pytest.raises(ValueError, match=message):
             discretize_sheet(make_paper_target(), paper_scene, orders)
+
+    def test_orders_that_overflow_read_inf(self, paper_scene):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of an overflowing order to int
+            orders = sheet_orders(paper_scene, [TargetSheet((1.0, 0.0), 1e300, 0.9)])
+        assert orders.tolist() == [[np.inf, np.inf]]
 
     def test_right_angle_rotation_contains_los_direction(self, paper_scene):
         target = make_paper_target(1.0, 0.4, rotation=np.pi / 2)

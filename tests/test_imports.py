@@ -1,5 +1,6 @@
 """Every module-level import in src/ and tests/ is read somewhere in its file,
-and every arrayshadow name the benchmark imports or reads still resolves.
+no module in src/ imports another's private names, and every arrayshadow
+name the benchmark imports or reads still resolves.
 
 No linter ships with the test extra, so this stands in for the one rule
 that has needed mending by hand: an import left behind after the code
@@ -48,6 +49,33 @@ def test_no_unread_module_imports(path):
 def test_an_unread_import_is_found():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\n__all__ = ['tau']\nnp.zeros(pi)\n"
     assert unread_imports(source) == ["line 1: os"]
+
+
+SRC_FILES = sorted((ROOT / "src").rglob("*.py"))
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that ``source`` imports from arrayshadow modules; dunders are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "arrayshadow"
+        ):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=[str(p.relative_to(ROOT)) for p in SRC_FILES])
+def test_no_module_imports_another_modules_private_names(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_a_private_import_is_found():
+    source = ("from . import __version__\nfrom .em_model import _BLOCK, DEFAULT_REL_TOL\n"
+              "from arrayshadow.geometry import _count\nfrom os import _exit\n"
+              "def f():\n    from .runner import _quoted\n")
+    assert private_imports(source) == ["line 2: _BLOCK", "line 3: _count", "line 6: _quoted"]
 
 
 BENCH_FILES = sorted((ROOT / "benchmarks").glob("*.py"))

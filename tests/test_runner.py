@@ -525,6 +525,20 @@ class TestLoadScenario:
         assert cli_main(["validate", str(path)]) == 1
         assert refused in capsys.readouterr().err
 
+    def test_positions_over_the_cap_rejected(self, tmp_path, capsys):
+        raw = minimal_config(outputs=["mean_attenuation"])
+        raw["target"]["positions_m"] = [[1.0, 0.01 * k] for k in range(1_000)]
+        with mock.patch.object(runner, "MAX_POSITIONS", 1_000):
+            assert len(parse_scenario(json.dumps(raw)).positions) == 1_000
+            # over the cap no position is checked, so the bad one goes unreported
+            raw["target"]["positions_m"].append(["bad"])
+            message = "target.positions_m: 1,001 positions exceed the cap of 1,000"
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(json.dumps(raw))
+            assert str(err.value) == f"<config>: invalid scenario\n  - {message}"
+            assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert message in capsys.readouterr().err
+
     def test_array_factor_only_needs_no_target(self):
         cfg = load_preset("paper_fig3")
         assert cfg.positions == ()

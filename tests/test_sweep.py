@@ -142,7 +142,7 @@ def test_a_run_holds_nothing_sized_by_positions_times_nodes():
     # magnitudes, 24 B per row and bin over at most 16,384 of them (about 0.39 MB; the
     # run measured 0.09 MB). An array of the 64 positions' nodes (about 900 each) adds
     # 0.46 MB per double, one of their node-antenna terms 7.8 MB.
-    assert many - one < many_exported - one_exported + 24 * em_model._BLOCK_NODE_ANTENNAS
+    assert many - one < many_exported - one_exported + 24 * sensing._FFT_BLOCK_VALUES
 
 
 def test_no_targets_give_an_empty_solve():
