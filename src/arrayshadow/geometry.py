@@ -295,10 +295,12 @@ def discretize_sheets(scene: Scene, targets, orders) -> QuadratureGrid:
     once, and every sheet's nodes are placed in one broadcast per
     coordinate. Raises ValueError before allocation when a grid exceeds a
     budget (``check_orders``), which reads the orders as given, before they
-    are cast to int, or when an order is not a positive integer.
+    are cast to int, or when an order is NaN or not a positive integer.
     """
     orders = [(ny, nz) for ny, nz in np.asarray(orders).tolist()]
     for ny, nz in dict.fromkeys(orders):  # each distinct orders once, in order
+        if math.isnan(ny) or math.isnan(nz):  # NaN passes every comparison below
+            raise ValueError(f"quadrature orders must be numbers, got {ny:g} x {nz:g}")
         check_orders(ny, nz)
         if min(ny, nz) < 1:
             raise ValueError(f"quadrature orders must be positive, got {ny:g} x {nz:g}")

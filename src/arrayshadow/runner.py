@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 import dataclasses
 from dataclasses import dataclass
@@ -34,10 +35,17 @@ from .sensing import (attenuation_spectra, boresight_steering, doa_grid,
 OUTPUT_KINDS = ("per_antenna_attenuation", "mean_attenuation", "doa_spectrum", "array_factor")
 
 _FLOAT_FMT = ".9g"  # significant digits pinned for byte-stable exports
+_VALUE = f"%{_FLOAT_FMT}"  # spells a value as format(value, _FLOAT_FMT) does
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json.dumps writes them
 # The most values one run may export. It admits nine positions at n_fft = 2**20,
-# which peak at about 260 MB.
+# which peak at about 245 MB.
 MAX_EXPORTED_VALUES = 10_000_000
+# The most lines one % call of the csv and gnuplot writer formats. Pieces of a few
+# KB fragmented the heap of a long desk sweep loop that keeps a little of each
+# operation: over 640 operations, whole 257-line blocks peaked 5 % higher, 64 lines not.
+_LINES_PER_CALL = 64
+# The bytes the csv and gnuplot writer holds before a write: a desk file is one write.
+_WRITE_BYTES = 1 << 16
 # The most positions one run may hold: beyond its values a run holds about 1.5 KB
 # per position, so a mean-only desk run at the cap adds about 150 MB RSS.
 MAX_POSITIONS = 100_000
@@ -327,7 +335,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if any(k != "array_factor" for k in outputs):
         if fields["target_half_width"] is None or fields["target_half_height"] is None:
             errors.append("target: half_width_m and half_height_m are required for attenuation outputs")
-        if not positions and not too_many:
+        if not listed:  # a list of malformed entries has its own messages
             errors.append(f"{label} must be non-empty for attenuation outputs")
 
     label = "array_factor.spacings_wavelengths"
@@ -483,9 +491,20 @@ def export(table: ResultTable, fmt: str, out_dir) -> list[Path]:
 
 
 def _json_number(value) -> str:
-    """``value`` to 9 significant digits, spelt as ``json.dumps`` spells the float."""
-    text = repr(float(format(value, _FLOAT_FMT)))
-    return _JSON_NONFINITE.get(text, text)
+    """``value`` to 9 significant digits, spelt as ``json.dumps`` spells the float.
+
+    That is the ``"%.9g"`` string, with ``.0`` after an integer, but for two
+    ranges of exponents where ``repr`` spells the float otherwise: 9 to 15,
+    which it writes in full, and -308 and below, where a subnormal keeps
+    fewer than 9 digits.
+    """
+    text = _VALUE % value
+    _, e, exponent = text.partition("e")
+    if e:
+        return repr(float(text)) if 9 <= int(exponent) <= 15 or int(exponent) <= -308 else text
+    if "." in text:
+        return text
+    return _JSON_NONFINITE.get(text) or text + ".0"
 
 
 def _export_jsonl(table: ResultTable, out_dir: Path) -> Path:
@@ -517,29 +536,71 @@ def _export_columns(table: ResultTable, fmt: str, out_dir: Path) -> list[Path]:
     sep = "," if fmt == "csv" else " "
     suffix = ".csv" if fmt == "csv" else ".dat"
     header_meta = f"# config_hash={table.config_hash} version={table.version}"
-    # "%.9g" spells a value as format(value, ".9g") does
-    value = f"%{_FLOAT_FMT}"
-    mean_line = sep.join([value] * 3) + "\n"  # x, y and the value
-    # An index column spelt once per call, each entry with its separator, for the blocks
-    # that share it: every DoA block shares the run's gamma grid, every per-antenna block
-    # its antenna indices. Keyed by id, as the table keeps each column alive.
-    spelt: dict[int, list[str]] = {}
+    # lines are formatted as bytes, which "%.9g" spells as it spells a str
+    mean_line = (sep.join([_VALUE] * 3) + "\n").encode()  # x, y and the value
+    # An index column's templates, built once per call for the blocks that share it:
+    # every DoA block shares the run's gamma grid, every per-antenna block its antenna
+    # indices. Keyed by id, as the table keeps each column alive.
+    templates: dict[int, list[bytes]] = {}
+
+    def pieces(head: bytes, blocks: list[Block]):
+        yield head
+        for block in blocks:
+            if block.index is None:
+                yield mean_line % (block.x, block.y, *block.values.tolist())
+                continue
+            if (chunks := templates.get(id(block.index))) is None:
+                chunks = templates[id(block.index)] = _line_templates(block.index, sep)
+            for start, template in zip(range(0, len(block.values), _LINES_PER_CALL), chunks):
+                yield template % tuple(block.values[start:start + _LINES_PER_CALL].tolist())
+
     written = []
     for stem in sorted(groups):
         blocks = groups[stem]
         path = out_dir / (stem + suffix)
         columns = sep.join(blocks[0].columns)
-        with path.open("w") as f:
-            f.write(f"{header_meta}\n{'# ' if fmt == 'gnuplot' else ''}{columns}\n")
-            for block in blocks:
-                if block.index is None:
-                    f.write(mean_line % (block.x, block.y, *block.values.tolist()))
-                    continue
-                if (prefixes := spelt.get(id(block.index))) is None:
-                    prefixes = spelt[id(block.index)] = [
-                        value % i + sep for i in block.index.tolist()
-                    ]
-                f.writelines(map(str.__add__, prefixes,
-                                 map((value + "\n").__mod__, block.values.tolist())))
+        head = f"{header_meta}\n{'# ' if fmt == 'gnuplot' else ''}{columns}\n".encode()
+        _write_file(path, pieces(head, blocks))
         written.append(path)
     return written
+
+
+def _line_templates(index: np.ndarray, sep: str) -> list[bytes]:
+    """``index`` as ``%`` templates of up to ``_LINES_PER_CALL`` lines each.
+
+    A line is its entry spelt as ``"%.9g"`` spells it, then ``sep`` (``%``
+    escaped in both), then ``"%.9g\n"`` for the value.
+    """
+    line_end = sep.replace("%", "%%") + _VALUE + "\n"
+    return [(line_end.join([(_VALUE % i).replace("%", "%%")
+                            for i in index[start:start + _LINES_PER_CALL].tolist()])
+             + line_end).encode()
+            for start in range(0, len(index), _LINES_PER_CALL)]
+
+
+def _write_file(path: Path, pieces) -> None:
+    """Write the byte ``pieces`` to ``path`` through one descriptor.
+
+    Pieces are joined into writes of at least ``_WRITE_BYTES``, the last
+    excepted, so a desk file is one write.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        held: list[bytes] = []
+        size = 0
+        for piece in pieces:
+            held.append(piece)
+            size += len(piece)
+            if size >= _WRITE_BYTES:
+                _write_all(fd, b"".join(held))
+                held, size = [], 0
+        _write_all(fd, b"".join(held))
+    finally:
+        os.close(fd)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data``, resuming after a short write."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]

@@ -187,10 +187,14 @@ class TestDiscretizeSheet:
     def test_no_sheets_give_no_orders(self, paper_scene):
         assert sheet_orders(paper_scene, []).shape == (0, 2)
 
-    @pytest.mark.parametrize("orders", [(0, 4), (4, 0), (-4, 8), (20.7, 40.2)])
+    @pytest.mark.parametrize("orders", [(0, 4), (4, 0), (-4, 8), (20.7, 40.2), (math.nan, 40), (40, math.nan)])
     def test_nonpositive_orders_rejected(self, paper_scene, orders):
-        # a fraction is refused too, where it would be truncated
-        message = "orders must be integers" if orders[0] % 1 else "orders must be positive"
+        # a fraction is refused too, where it would be truncated, and NaN, which passes
+        # every comparison
+        if any(map(math.isnan, orders)):
+            message = "orders must be numbers"
+        else:
+            message = "orders must be integers" if orders[0] % 1 else "orders must be positive"
         with pytest.raises(ValueError, match=message):
             discretize_sheet(make_paper_target(), paper_scene, orders)
 

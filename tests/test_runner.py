@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -104,6 +105,76 @@ def write_config(tmp_path, cfg, name="scenario.json"):
     return path
 
 
+# any float, with the ones whose spelling a writer may get wrong drawn often
+EXPORT_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e16, 1e9])
+
+
+@st.composite
+def column_tables(draw):
+    """Tables shaped as runs export them: per position a DoA block on one shared index
+    array, a per-antenna block on shared integer indices, and a mean block in one file."""
+    def values(n):
+        return np.array(draw(st.lists(EXPORT_FLOATS, min_size=n, max_size=n)))
+
+    # one-line blocks, and blocks that end at, before and after a template's last line
+    lines = runner._LINES_PER_CALL
+    gamma = values(draw(st.sampled_from([1, lines - 1, lines, lines + 1, 2 * lines + 1])
+                        | st.integers(1, 3 * lines)))
+    half_count = draw(st.integers(0, 8))
+    antennas = np.arange(-half_count, half_count + 1)
+
+    blocks = []
+    for p in range(draw(st.integers(1, 3))):
+        x, y = draw(EXPORT_FLOATS), draw(EXPORT_FLOATS)
+        blocks += [
+            runner.Block(f"doa_spectrum_{p}", ("gamma_deg", "excess_attenuation_db"), "d", x, y,
+                         gamma, values(len(gamma))),
+            runner.Block(f"per_antenna_{p}", ("antenna_index", "excess_attenuation_db"), "a", x, y,
+                         antennas, values(len(antennas))),
+            runner.Block("mean_attenuation", ("x_m", "y_m", "mean_excess_attenuation_db"), "m", x, y,
+                         None, values(1)),
+        ]
+    return runner.ResultTable(tuple(blocks), "0123456789ab", "0.1.0")
+
+
+def reference_columns(table, fmt, out_dir):
+    """The per-line csv and gnuplot writer the block writer replaced, kept as its reference.
+
+    Each file goes through a text stream, one ``%`` call and one concatenation a line.
+    """
+    groups = {}
+    for block in table.blocks:
+        groups.setdefault(block.stem, []).append(block)
+    sep = "," if fmt == "csv" else " "
+    suffix = ".csv" if fmt == "csv" else ".dat"
+    header_meta = f"# config_hash={table.config_hash} version={table.version}"
+    value = "%.9g"
+    mean_line = sep.join([value] * 3) + "\n"
+    spelt = {}  # an index column's entries, each with its separator, keyed by id
+    written = []
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stem in sorted(groups):
+        blocks = groups[stem]
+        path = out_dir / (stem + suffix)
+        with path.open("w") as f:
+            f.write(f"{header_meta}\n{'# ' if fmt == 'gnuplot' else ''}{sep.join(blocks[0].columns)}\n")
+            for block in blocks:
+                if block.index is None:
+                    f.write(mean_line % (block.x, block.y, *block.values.tolist()))
+                    continue
+                if (prefixes := spelt.get(id(block.index))) is None:
+                    prefixes = spelt[id(block.index)] = [value % i + sep for i in block.index.tolist()]
+                f.writelines(map(str.__add__, prefixes,
+                                 map((value + "\n").__mod__, block.values.tolist())))
+        written.append(path)
+    return written
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestLoadScenario:
     def test_shipped_fig4_preset(self):
         cfg = load_preset("paper_fig4")
@@ -166,6 +237,16 @@ class TestLoadScenario:
         raw["target"]["positions_m"] = []
         with pytest.raises(ScenarioError, match="positions"):
             load_scenario(write_config(tmp_path, raw))
+
+    def test_malformed_positions_are_not_also_called_empty(self):
+        raw = minimal_config()
+        raw["target"]["positions_m"] = [5]
+        with pytest.raises(ScenarioError) as e:
+            parse_scenario(json.dumps(raw), source="s.json")
+        assert str(e.value).splitlines() == [
+            "s.json: invalid scenario",
+            "  - target.positions_m[0] must be an [x, y] pair",
+        ]
 
     @pytest.mark.parametrize("section, key, value", [
         ("scene", "carrier_frequency_hz", "abc"),
@@ -857,7 +938,9 @@ class TestExport:
 
     def test_jsonl_lines_spell_values_as_json_dumps(self, tmp_path):
         # the writer assembles each line by hand; json.dumps of the record is the reference
-        values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 123456789012.0, 100.0, 0.1 + 0.2]
+        # with the switch points of "%.9g" against repr: exponents 9, 16, -4, -5 and -308
+        values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 123456789012.0, 100.0, 0.1 + 0.2,
+                  1e9, 999999999.5, 1e15, 1e16, 1e-4, 1e-5, 5e-324, 2.5e-308]
         table = runner.ResultTable(
             blocks=(
                 runner.Block("s", ("gamma_deg", "v"), "q", None, None, np.array(values), np.array(values)),
@@ -877,6 +960,73 @@ class TestExport:
             for x, y, index, quantity, value in records(table)
         ]
         assert export(table, "jsonl", tmp_path)[0].read_text().splitlines() == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(value=EXPORT_FLOATS)
+    def test_json_numbers_spell_any_float_as_json_dumps(self, value):
+        assert runner._json_number(value) == json.dumps(float(format(value, ".9g")))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(table=column_tables(), write_bytes=st.sampled_from([1, 1000, runner._WRITE_BYTES]))
+    def test_block_writer_matches_the_per_line_reference(self, table, write_bytes):
+        with tempfile.TemporaryDirectory() as out, \
+                mock.patch.object(runner, "_WRITE_BYTES", write_bytes):
+            for fmt in ("csv", "gnuplot"):
+                got = export(table, fmt, Path(out) / fmt)
+                expected = reference_columns(table, fmt, Path(out) / f"reference_{fmt}")
+                assert [p.name for p in got] == [p.name for p in expected]
+                for path, reference in zip(got, expected):
+                    assert path.read_bytes() == reference.read_bytes()
+
+    @staticmethod
+    def _long_table():
+        # a DoA file of 4,095 lines writes in several calls, the mean file holds two blocks
+        raw = minimal_config(
+            outputs=["doa_spectrum", "per_antenna_attenuation", "mean_attenuation"],
+            processing={"n_fft": 4096},
+        )
+        raw["target"]["positions_m"] = [[1.0, 0.0], [1.0, 0.25]]
+        return run(parse_scenario(json.dumps(raw)))
+
+    def test_short_writes_still_complete_every_file(self, tmp_path, monkeypatch):
+        table = self._long_table()
+        expected = export(table, "csv", tmp_path / "whole")
+        write, sizes = os.write, []
+
+        def seven_bytes(fd, data):
+            sizes.append(write(fd, data[:7]))
+            return sizes[-1]
+
+        before = open_descriptors()
+        monkeypatch.setattr(os, "write", seven_bytes)
+        got = export(table, "csv", tmp_path / "short")
+        monkeypatch.undo()
+        assert open_descriptors() == before
+        assert max(sizes) == 7 and sum(sizes) == sum(p.stat().st_size for p in expected)
+        for path, reference in zip(got, expected):
+            assert path.read_bytes() == reference.read_bytes()
+
+    def test_a_full_disk_fails_the_export_and_leaks_no_descriptor(self, tmp_path, monkeypatch):
+        table = self._long_table()
+        open_file, write, opened = os.open, os.write, []
+
+        def counted_open(*args, **kwargs):
+            opened.append(open_file(*args, **kwargs))
+            return opened[-1]
+
+        def full_from_the_third_file(fd, data):
+            if len(opened) >= 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data)
+
+        before = open_descriptors()
+        monkeypatch.setattr(os, "open", counted_open)
+        monkeypatch.setattr(os, "write", full_from_the_third_file)
+        with pytest.raises(SimulationError, match="No space left on device"):
+            export(table, "csv", tmp_path)
+        monkeypatch.undo()
+        assert len(opened) == 3
+        assert open_descriptors() == before
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
