@@ -32,18 +32,15 @@ from .geometry import (
 )
 from .sensing import (
     DoaSpectrum,
-    Observation,
     attenuation_spectrum_from_snapshots,
     boresight_steering,
     mean_attenuation_from_snapshots,
-    observe,
 )
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "ArraySpec",
     "DoaSpectrum",
-    "Observation",
     "QuadratureGrid",
     "QuadratureReport",
     "Scene",
@@ -60,7 +57,6 @@ __all__ = [
     "first_lobe_width",
     "mean_attenuation_from_snapshots",
     "nearfield_steering",
-    "observe",
     "planar_steering",
     "uniform_weights",
 ]

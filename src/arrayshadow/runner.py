@@ -44,7 +44,7 @@ MAX_EXPORTED_VALUES = 10_000_000
 # KB fragmented the heap of a long desk sweep loop that keeps a little of each
 # operation: over 640 operations, whole 257-line blocks peaked 5 % higher, 64 lines not.
 _LINES_PER_CALL = 64
-# The bytes the csv and gnuplot writer holds before a write: a desk file is one write.
+# The bytes the export writer holds before a write: a desk csv file is one write.
 _WRITE_BYTES = 1 << 16
 # The most positions one run may hold: beyond its values a run holds about 1.5 KB
 # per position, so a mean-only desk run at the cap adds about 150 MB RSS.
@@ -196,12 +196,16 @@ def _number(value, label: str, errors: list, default=_REQUIRED, integer: bool = 
 
 
 def _typed(value, kind: type, label: str, errors: list, default):
-    """``value`` when it is a ``kind`` (dict or list); None reads as ``default``."""
+    """``value`` when it is a ``kind`` (dict or list); None reads as ``default``.
+
+    Any other value is recorded in ``errors`` and reads as None, which no
+    emptiness check takes for empty, so it gets that one message.
+    """
     if value is None:
         return default
     if not isinstance(value, kind):
         errors.append(f"{label} must be {'an object' if kind is dict else 'a list'}")
-        return kind()
+        return None
     return value
 
 
@@ -230,25 +234,19 @@ def _spacing_tag(spacing: float, wavelength: float) -> str:
     return f"{spacing / wavelength:g}"
 
 
-def _exported_bound(outputs, positions: int, n_fft, half_count, spacings: int, gamma_points):
-    """The most values a run of these outputs exports, as ``MAX_EXPORTED_VALUES`` counts them.
+def exported_bound(config: ScenarioConfig) -> int:
+    """The most values ``config``'s run exports, as ``MAX_EXPORTED_VALUES`` counts them.
 
     Per position: at most n_fft DoA bins, one value per antenna and the
-    mean; per array-factor spacing, its gamma points. NaN when a count is.
+    mean; per array-factor spacing, its gamma points. NaN when a count is,
+    as parse may ask before it validates.
     """
     per_position = zip(("doa_spectrum", "per_antenna_attenuation", "mean_attenuation"),
-                       (n_fft, 2 * half_count + 1, 1))
-    exported = positions * sum(n for kind, n in per_position if kind in outputs)
-    if "array_factor" in outputs:
-        exported += spacings * gamma_points
+                       (config.n_fft, 2 * config.half_count + 1, 1))
+    exported = len(config.positions) * sum(n for kind, n in per_position if kind in config.outputs)
+    if "array_factor" in config.outputs:
+        exported += len(config.array_factor_spacings) * config.array_factor_points
     return exported
-
-
-def exported_bound(config: ScenarioConfig) -> int:
-    """The most values ``config``'s run exports, as ``MAX_EXPORTED_VALUES`` counts them."""
-    return _exported_bound(config.outputs, len(config.positions), config.n_fft,
-                           config.half_count, len(config.array_factor_spacings),
-                           config.array_factor_points)
 
 
 def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -264,7 +262,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
 
     errors: list[str] = []
     sections = {"": raw}
-    sections.update((name, _typed(raw.get(name), dict, name, errors, {})) for name in _KEYS if name)
+    sections.update((name, _typed(raw.get(name), dict, name, errors, {}) or {})
+                    for name in _KEYS if name)
     for name, section in sections.items():
         errors += [
             f"{name or 'top level'}: unknown key {_quoted(key)}"
@@ -296,10 +295,10 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     label = "target.positions_m"
     bad: list[str] = []
     listed = _typed(sections["target"].get("positions_m"), list, label, errors, [])
-    too_many = len(listed) > MAX_POSITIONS
+    too_many = len(listed or ()) > MAX_POSITIONS
     if too_many:  # refused before each position is checked, at about 5 us a position
         errors.append(f"{label}: {len(listed):,} positions exceed the cap of {MAX_POSITIONS:,}")
-    for i, p in enumerate(() if too_many else listed):
+    for i, p in enumerate(() if too_many else listed or ()):
         if not isinstance(p, list) or len(p) != 2:
             bad.append(f"{label}[{i}] must be an [x, y] pair")
             continue
@@ -316,9 +315,10 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if fields["n_fft"] < 2 * fields["half_count"] + 1:
         errors.append("processing.n_fft must be an integer >= the array size")
 
-    outputs = tuple(_typed(raw.get("outputs"), list, "outputs", errors, []))
-    if not outputs:
+    outputs = _typed(raw.get("outputs"), list, "outputs", errors, [])
+    if outputs == []:
         errors.append("outputs: at least one output kind is required")
+    outputs = tuple(outputs or ())
     first_with_kind: dict[str, int] = {}
     bad = []
     for i, kind in enumerate(outputs):
@@ -335,15 +335,15 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if any(k != "array_factor" for k in outputs):
         if fields["target_half_width"] is None or fields["target_half_height"] is None:
             errors.append("target: half_width_m and half_height_m are required for attenuation outputs")
-        if not listed:  # a list of malformed entries has its own messages
+        if listed == []:  # a list of malformed entries has its own messages
             errors.append(f"{label} must be non-empty for attenuation outputs")
 
     label = "array_factor.spacings_wavelengths"
     bad = []
-    af_spacings = tuple(
-        _number(s, label, bad) * wavelength
-        for s in _typed(sections["array_factor"].get("spacings_wavelengths"), list, label, errors, [0.5])
-    )
+    listed = _typed(sections["array_factor"].get("spacings_wavelengths"), list, label, errors, [0.5])
+    if listed == [] and "array_factor" in outputs:
+        errors.append(f"{label} must be non-empty for the array_factor output")
+    af_spacings = tuple(_number(s, label, bad) * wavelength for s in listed or ())
     if any(s <= 0.0 or s == math.inf for s in af_spacings):
         bad.append(f"{label} must be positive and finite")
     first_with_tag = {}
@@ -353,8 +353,10 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             bad.append(f"{label}[{j}] and [{i}] would share export files")
     errors += _capped(bad, label)
 
-    exported = _exported_bound(outputs, len(positions), fields["n_fft"], fields["half_count"],
-                               len(af_spacings), fields["array_factor_points"])
+    config = ScenarioConfig(
+        **fields, positions=tuple(positions), outputs=outputs, array_factor_spacings=af_spacings
+    )
+    exported = exported_bound(config)
     if exported > MAX_EXPORTED_VALUES:  # NaN fails this check
         errors.append(f"outputs: {exported:,} exported values exceed the budget of "
                       f"{MAX_EXPORTED_VALUES:,}")
@@ -362,9 +364,6 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     if errors:
         raise ScenarioError(f"{source}: invalid scenario\n  - " + "\n  - ".join(errors))
 
-    config = ScenarioConfig(
-        **fields, positions=tuple(positions), outputs=outputs, array_factor_spacings=af_spacings
-    )
     config.scene()  # surfaces the spacing <= lambda/4 coupling warning
     if any(k != "array_factor" for k in outputs):  # then a sheet is set
         # Each half-axis moves r1 + r2 by at most 2a, so no position's path sweep
@@ -510,7 +509,8 @@ def _json_number(value) -> str:
 def _export_jsonl(table: ResultTable, out_dir: Path) -> Path:
     path = out_dir / "results.jsonl"
     meta = f'"config_hash": {json.dumps(table.config_hash)}, "version": {json.dumps(table.version)}'
-    with path.open("w") as f:
+
+    def pieces():
         for block in table.blocks:
             x, y = ("null" if v is None else _json_number(v) for v in (block.x, block.y))
             if block.index is None:
@@ -521,10 +521,10 @@ def _export_jsonl(table: ResultTable, out_dir: Path) -> Path:
                 indices = map(_json_number, block.index.tolist())
             head = f'{{{meta}, "x_m": {x}, "y_m": {y}, "index": '
             tail = f', "quantity": {json.dumps(block.quantity)}, "value": '
-            f.writelines(
-                f'{head}{index}{tail}{_json_number(value)}, "units": "dB"}}\n'
-                for index, value in zip(indices, block.values.tolist())
-            )
+            for index, value in zip(indices, block.values.tolist()):
+                yield f'{head}{index}{tail}{_json_number(value)}, "units": "dB"}}\n'.encode()
+
+    _write_file(path, pieces())
     return path
 
 

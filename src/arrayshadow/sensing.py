@@ -2,24 +2,22 @@
 
 The reference field at the central antenna is normalized to 1: every
 quantity exposed here is a ratio in which the absolute transmit level
-cancels. ``observe`` makes one checked sheet solve and returns the empty
-and occupied snapshots every other quantity is derived from, with the
-solve's quadrature report. A run solves all its positions at once
-(``em_model.converged_field_ratio_vectors``) and derives the same
-quantities from one empty vector and one array of occupied ones.
+cancels. Each quantity is read from two snapshots: the empty scene's, the
+broadside steering vector (``boresight_steering``), and the occupied
+scene's, that vector times the field ratios an ``em_model`` solve
+returns. This module solves no sheet: ``runner`` passes it one empty
+vector and one array of occupied ones.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .array_model import nearfield_steering
-from .em_model import DEFAULT_REL_TOL, QuadratureReport, converged_field_ratio_vector
-from .geometry import Scene, TargetSheet
+from .geometry import Scene
 
 # Rows x n_fft per FFT call of attenuation_spectra: a call's transients stay under
 # about 0.8 MB while n_fft <= 8,192, above which a call takes one occupied row.
@@ -56,33 +54,6 @@ def boresight_steering(scene: Scene) -> np.ndarray:
         scene.wavelength,
         np.pi / 2.0,
     )
-
-
-class Observation(NamedTuple):
-    """One checked solve of the sheet: field ratios, the two received vectors, the report."""
-
-    ratios: np.ndarray    # E/E_ref per antenna, m = -M .. +M
-    empty: np.ndarray     # broadside near-field response, the empty scene
-    occupied: np.ndarray  # empty * ratios, the scene with the target present
-    quadrature: QuadratureReport  # the solve's orders, nodes and check; never exported
-
-
-def observe(
-    scene: Scene,
-    target: TargetSheet,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    orders=None,
-) -> Observation:
-    """Solve the sheet integral once and form the empty and occupied snapshots.
-
-    One checked solve (``em_model.converged_field_ratio_vector``), from
-    ``orders`` or the sheet's start orders, doubled until the solve and its
-    check at 4 fewer nodes per axis agree to ``rel_tol``. Noiseless.
-    """
-    ratios, report = converged_field_ratio_vector(scene, target, rel_tol, orders)
-    empty = boresight_steering(scene)
-    return Observation(ratios, empty, empty * ratios, report)
 
 
 def mean_attenuation_from_snapshots(
@@ -155,7 +126,8 @@ def attenuation_spectra(
     return out
 
 
-# Every position of a run asks for the run's one grid; a few entries cover a few runs.
+# A run, as a single spectrum, asks twice for its one grid: for its gammas and for its
+# bins. A few entries cover a few runs.
 @functools.lru_cache(maxsize=4)
 def doa_grid(spacing: float, wavelength: float, n_fft: int) -> tuple[np.ndarray, np.ndarray]:
     """The DFT bins that map to a direction of arrival, and their gammas, by ascending gamma.

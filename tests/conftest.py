@@ -5,8 +5,8 @@ from arrayshadow import (
     Scene,
     TargetSheet,
     attenuation_spectrum_from_snapshots,
+    boresight_steering,
     converged_field_ratio_vector,
-    observe,
 )
 
 CARRIER_HZ = 2.4868e9
@@ -32,10 +32,11 @@ def make_paper_target(x: float = 1.0, y: float = 0.0, rotation: float = 0.0) -> 
 
 
 def observed_spectrum(scene: Scene, target: TargetSheet, n_fft: int = 257):
-    """DoA spectrum of one ``observe`` solve at the default step."""
-    obs = observe(scene, target)
+    """DoA spectrum of one checked solve of ``target`` at the default tolerance."""
+    empty = boresight_steering(scene)
+    occupied = empty * converged_field_ratio_vector(scene, target)[0]
     return attenuation_spectrum_from_snapshots(
-        obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, n_fft
+        empty, occupied, scene.array.spacing, scene.wavelength, n_fft
     )
 
 

@@ -16,11 +16,11 @@ from arrayshadow import (
     array_factor,
     array_factor_closed_form,
     attenuation_spectrum_from_snapshots,
+    boresight_steering,
     converged_field_ratio_vector,
     excess_attenuation_db,
     mean_attenuation_from_snapshots,
     nearfield_steering,
-    observe,
     planar_steering,
     uniform_weights,
 )
@@ -42,32 +42,33 @@ def report(tag: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def spectrum_and_mean(scene, obs):
-    """DoA spectrum and beamformed mean attenuation of one observation."""
+def spectrum_and_mean(scene, target):
+    """Field ratios, DoA spectrum and beamformed mean attenuation of one checked solve."""
+    ratios = converged_field_ratio_vector(scene, target)[0]
+    empty = boresight_steering(scene)
+    occupied = empty * ratios
     spectrum = attenuation_spectrum_from_snapshots(
-        obs.empty, obs.occupied, scene.array.spacing, scene.wavelength
+        empty, occupied, scene.array.spacing, scene.wavelength
     )
     weights = uniform_weights(scene.array.half_count)
-    return spectrum, mean_attenuation_from_snapshots(weights, obs.empty, obs.occupied)
+    return ratios, spectrum, mean_attenuation_from_snapshots(weights, empty, occupied)
 
 
 @pytest.fixture(scope="module")
 def desk():
-    """Desk-scale scenario observed once per offset: ratios, spectra, means."""
+    """Desk-scale scenario solved once per offset: ratios, spectra, means."""
     scene = make_paper_scene()
     offsets = (-1.0, -0.25, -0.05, 0.0, 0.05, 0.25, 1.0)
-    observations = {y: observe(scene, make_paper_target(1.0, y)) for y in offsets}
-    spectra = {}
-    means = {}
-    for y, obs in observations.items():
-        spectra[y], means[y] = spectrum_and_mean(scene, obs)
-    return scene, observations, spectra, means
+    ratios, spectra, means = {}, {}, {}
+    for y in offsets:
+        ratios[y], spectra[y], means[y] = spectrum_and_mean(scene, make_paper_target(1.0, y))
+    return scene, ratios, spectra, means
 
 
 def test_criterion_01_on_los_peak_and_runtime(desk):
     scene, _, _, _ = desk
     start = time.monotonic()
-    spectrum, mean = spectrum_and_mean(scene, observe(scene, make_paper_target(1.0, 0.0)))
+    _, spectrum, mean = spectrum_and_mean(scene, make_paper_target(1.0, 0.0))
     elapsed = time.monotonic() - start
     peak = spectrum.main_lobe_attenuation()
     ok = abs(peak - 15.0) <= 2.0 and abs(mean - 15.0) <= 2.0 and elapsed < 10.0
@@ -99,8 +100,8 @@ def test_criterion_02_off_los_peaks_and_separability(desk):
 
 
 def test_criterion_03_per_antenna_spread(desk):
-    _, observations, _, _ = desk
-    attens = excess_attenuation_db(observations[0.0].ratios)
+    _, ratios, _, _ = desk
+    attens = excess_attenuation_db(ratios[0.0])
     spread = float(np.ptp(attens))
     ok = np.all(attens >= 13.0) and np.all(attens <= 17.0) and spread <= 2.5
     assert report(
@@ -233,7 +234,7 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
     rank_ok = True
     for _ in range(50):
         target = make_paper_target(rng.uniform(0.3, 3.7), rng.uniform(-1.2, 1.2))
-        ratios = observe(scene, target).ratios
+        ratios = converged_field_ratio_vector(scene, target)[0]
         R = np.outer(ratios, ratios.conj())
         hermitian = np.max(np.abs(R - R.conj().T)) < 1e-14
         singular = np.linalg.svd(R, compute_uv=False)
@@ -244,7 +245,7 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
     target = make_paper_target(1.0, 0.0)
     converged, _ = converged_on_los
     dense_orders = sheet_orders(scene, [target], 16.0)[0]  # 16 times the rule's density
-    dense = observe(scene, target, orders=dense_orders).ratios
+    dense = converged_field_ratio_vector(scene, target, orders=dense_orders)[0]
     grid_change = float(np.max(np.abs(converged - dense) / np.abs(converged)))
     quad_ok = grid_change < 1e-4
 

@@ -1,11 +1,16 @@
+from pathlib import Path
+
+import pytest
+
 import arrayshadow
+
+README = Path(__file__).parents[1] / "README.md"
 
 # the pipeline only: reference formulas live in arrayshadow.oracles
 PIPELINE_API = [
     "SPEED_OF_LIGHT",
     "ArraySpec",
     "DoaSpectrum",
-    "Observation",
     "QuadratureGrid",
     "QuadratureReport",
     "Scene",
@@ -22,7 +27,6 @@ PIPELINE_API = [
     "first_lobe_width",
     "mean_attenuation_from_snapshots",
     "nearfield_steering",
-    "observe",
     "planar_steering",
     "uniform_weights",
 ]
@@ -35,3 +39,11 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from arrayshadow import *", namespace)
     assert set(arrayshadow.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    example = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["spectrum"].main_lobe_attenuation() == pytest.approx(15.0, abs=2.0)

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 from arrayshadow import (
     QuadratureReport,
     attenuation_spectrum_from_snapshots,
+    boresight_steering,
+    converged_field_ratio_vector,
     excess_attenuation_db,
     geometry,
     mean_attenuation_from_snapshots,
-    observe,
     uniform_weights,
 )
 from arrayshadow import runner, sensing
@@ -238,15 +239,35 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="positions"):
             load_scenario(write_config(tmp_path, raw))
 
-    def test_malformed_positions_are_not_also_called_empty(self):
-        raw = minimal_config()
-        raw["target"]["positions_m"] = [5]
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("target", "positions_m", [5], "target.positions_m[0] must be an [x, y] pair"),
+        ("target", "positions_m", 5, "target.positions_m must be a list"),
+        (None, "outputs", 5, "outputs must be a list"),
+        (None, "outputs", {}, "outputs must be a list"),
+        ("array_factor", "spacings_wavelengths", 5,
+         "array_factor.spacings_wavelengths must be a list"),
+    ], ids=["position-not-a-pair", "positions-a-number", "outputs-a-number", "outputs-an-object",
+            "spacings-a-number"])
+    def test_malformed_positions_are_not_also_called_empty(self, section, key, value, message):
+        raw = minimal_config(outputs=["per_antenna_attenuation", "array_factor"])
+        (raw if section is None else raw.setdefault(section, {}))[key] = value
+        with pytest.raises(ScenarioError) as e:
+            parse_scenario(json.dumps(raw), source="s.json")
+        assert str(e.value).splitlines() == ["s.json: invalid scenario", f"  - {message}"]
+
+    def test_array_factor_output_needs_a_spacing(self, tmp_path, capsys):
+        raw = minimal_config(outputs=["array_factor"], array_factor={"spacings_wavelengths": []})
         with pytest.raises(ScenarioError) as e:
             parse_scenario(json.dumps(raw), source="s.json")
         assert str(e.value).splitlines() == [
             "s.json: invalid scenario",
-            "  - target.positions_m[0] must be an [x, y] pair",
+            "  - array_factor.spacings_wavelengths must be non-empty for the array_factor output",
         ]
+        assert cli_main(["validate", str(write_config(tmp_path, raw))]) == 1
+        assert "non-empty" in capsys.readouterr().err
+        # other outputs read no spacing
+        raw["outputs"] = ["mean_attenuation"]
+        assert parse_scenario(json.dumps(raw)).array_factor_spacings == ()
 
     @pytest.mark.parametrize("section, key, value", [
         ("scene", "carrier_frequency_hz", "abc"),
@@ -706,16 +727,18 @@ class TestRun:
     def test_rows_are_derived_from_one_observation(self):
         cfg = load_preset("paper_fig4")
         scene = cfg.scene()
+        empty = boresight_steering(scene)
         expected = []
         for x, y in sorted(cfg.positions):
-            obs = observe(scene, cfg.target_at(x, y), rel_tol=cfg.quadrature_rel_tol)
+            ratios = converged_field_ratio_vector(scene, cfg.target_at(x, y), cfg.quadrature_rel_tol)[0]
+            occupied = empty * ratios
             spectrum = attenuation_spectrum_from_snapshots(
-                obs.empty, obs.occupied, scene.array.spacing, scene.wavelength, cfg.n_fft
+                empty, occupied, scene.array.spacing, scene.wavelength, cfg.n_fft
             )
             expected += spectrum.excess_attenuation_db.tolist()
-            expected += excess_attenuation_db(obs.ratios).tolist()
+            expected += excess_attenuation_db(ratios).tolist()
             expected.append(mean_attenuation_from_snapshots(
-                uniform_weights(cfg.half_count), obs.empty, obs.occupied
+                uniform_weights(cfg.half_count), empty, occupied
             ))
         assert run(cfg).rows.tolist() == expected
 
@@ -760,9 +783,12 @@ class TestRun:
         assert len(blocks) == len(cfg.positions) == 3
         assert all(b.index is blocks[0].index for b in blocks)
         assert not blocks[0].index.flags.writeable
-        obs = observe(cfg.scene(), cfg.target_at(*cfg.positions[0]), rel_tol=cfg.quadrature_rel_tol)
+        scene = cfg.scene()
+        ratios = converged_field_ratio_vector(scene, cfg.target_at(*cfg.positions[0]),
+                                              cfg.quadrature_rel_tol)[0]
+        empty = boresight_steering(scene)
         spectrum = attenuation_spectrum_from_snapshots(
-            obs.empty, obs.occupied, cfg.spacing, cfg.scene().wavelength, cfg.n_fft
+            empty, empty * ratios, cfg.spacing, scene.wavelength, cfg.n_fft
         )
         assert np.array_equal(blocks[0].index, np.degrees(spectrum.gamma_grid))
 
@@ -988,9 +1014,10 @@ class TestExport:
         raw["target"]["positions_m"] = [[1.0, 0.0], [1.0, 0.25]]
         return run(parse_scenario(json.dumps(raw)))
 
-    def test_short_writes_still_complete_every_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_short_writes_still_complete_every_file(self, tmp_path, monkeypatch, fmt):
         table = self._long_table()
-        expected = export(table, "csv", tmp_path / "whole")
+        expected = export(table, fmt, tmp_path / "whole")
         write, sizes = os.write, []
 
         def seven_bytes(fd, data):
@@ -999,14 +1026,16 @@ class TestExport:
 
         before = open_descriptors()
         monkeypatch.setattr(os, "write", seven_bytes)
-        got = export(table, "csv", tmp_path / "short")
+        got = export(table, fmt, tmp_path / "short")
         monkeypatch.undo()
         assert open_descriptors() == before
         assert max(sizes) == 7 and sum(sizes) == sum(p.stat().st_size for p in expected)
         for path, reference in zip(got, expected):
             assert path.read_bytes() == reference.read_bytes()
 
-    def test_a_full_disk_fails_the_export_and_leaks_no_descriptor(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt, files", [("csv", 3), ("jsonl", 1)])
+    def test_a_full_disk_fails_the_export_and_leaks_no_descriptor(self, tmp_path, monkeypatch,
+                                                                  fmt, files):
         table = self._long_table()
         open_file, write, opened = os.open, os.write, []
 
@@ -1014,18 +1043,18 @@ class TestExport:
             opened.append(open_file(*args, **kwargs))
             return opened[-1]
 
-        def full_from_the_third_file(fd, data):
-            if len(opened) >= 3:
+        def full_from_the_last_file(fd, data):
+            if len(opened) >= files:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return write(fd, data)
 
         before = open_descriptors()
         monkeypatch.setattr(os, "open", counted_open)
-        monkeypatch.setattr(os, "write", full_from_the_third_file)
+        monkeypatch.setattr(os, "write", full_from_the_last_file)
         with pytest.raises(SimulationError, match="No space left on device"):
-            export(table, "csv", tmp_path)
+            export(table, fmt, tmp_path)
         monkeypatch.undo()
-        assert len(opened) == 3
+        assert len(opened) == files
         assert open_descriptors() == before
 
     def test_unknown_format(self, tmp_path):

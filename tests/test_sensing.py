@@ -16,7 +16,6 @@ from arrayshadow import (
     excess_attenuation_db,
     field_ratio_vector,
     mean_attenuation_from_snapshots,
-    observe,
     uniform_weights,
 )
 from arrayshadow.oracles import free_space_ratio_vector, naive_dft
@@ -24,43 +23,33 @@ from conftest import WAVELENGTH, make_paper_scene, make_paper_target, observed_s
 
 
 class TestSnapshot:
-    """The empty and occupied snapshots ``observe`` forms from one solve."""
+    """The empty snapshot, and the one-target solve the occupied snapshot scales it by."""
 
     def test_empty_noiseless_equals_boresight_response(self, paper_scene):
-        obs = observe(paper_scene, make_paper_target())
-        assert isinstance(obs.empty, np.ndarray)
-        assert_allclose(obs.empty, free_space_ratio_vector(paper_scene), rtol=1e-9)
+        empty = boresight_steering(paper_scene)
+        assert isinstance(empty, np.ndarray)
+        assert_allclose(empty, free_space_ratio_vector(paper_scene), rtol=1e-9)
 
-    def test_occupied_central_component_is_field_ratio(self, paper_scene):
-        target = make_paper_target()
-        obs = observe(paper_scene, target)
-        ratio = converged_field_ratio_vector(paper_scene, target)[0][2]
-        assert obs.occupied[2] == pytest.approx(ratio, rel=1e-9)
-        assert 13.0 <= -20 * np.log10(abs(obs.occupied[2])) <= 17.0
+    def test_occupied_central_component_is_field_ratio(self, paper_scene, converged_on_los):
+        ratio = converged_on_los[0][2]
+        occupied = boresight_steering(paper_scene)[2] * ratio
+        assert occupied == pytest.approx(ratio, rel=1e-9)
+        assert 13.0 <= -20 * np.log10(abs(occupied)) <= 17.0
 
     def test_one_checked_solve_and_its_report(self, paper_scene):
         target = make_paper_target(1.0, 0.4)
-        obs = observe(paper_scene, target)
         ratios, report = converged_field_ratio_vector(paper_scene, target)
-        assert np.array_equal(obs.ratios, ratios)
-        assert obs.quadrature == report
-        assert np.array_equal(obs.occupied, obs.empty * obs.ratios)
         across, up = report.orders
         assert report.nodes == across * up // 2 == len(discretize_sheet(target, paper_scene,
                                                                          report.orders).areas)
         assert report.change < 1e-9
         # a looser tolerance keeps the grid: the finer solve of the pair is returned
-        assert np.array_equal(observe(paper_scene, target, rel_tol=1.0).ratios, obs.ratios)
+        assert np.array_equal(converged_field_ratio_vector(paper_scene, target, 1.0)[0], ratios)
         # orders are taken as given, and the solve is on their grid
-        given = observe(paper_scene, target, rel_tol=1.0, orders=(48, 96))
+        given, given_report = converged_field_ratio_vector(paper_scene, target, 1.0, (48, 96))
         grid = discretize_sheet(target, paper_scene, (48, 96))
-        assert np.array_equal(given.ratios, field_ratio_vector(paper_scene, target, grid))
-        assert given.quadrature.orders == (48, 96)
-
-    def test_step_is_not_an_argument(self, paper_scene):
-        # a positional third argument was the step; it must not be read as a tolerance
-        with pytest.raises(TypeError):
-            observe(paper_scene, make_paper_target(), 0.05)
+        assert np.array_equal(given, field_ratio_vector(paper_scene, target, grid))
+        assert given_report.orders == (48, 96)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -71,9 +60,9 @@ class TestSnapshot:
     )
     def test_mirrored_target_reverses_antenna_order(self, x, y, theta, half_count):
         scene = make_paper_scene(half_count)
-        plus = observe(scene, make_paper_target(x, y, theta))
-        minus = observe(scene, make_paper_target(x, -y, -theta))
-        assert_allclose(minus.ratios, plus.ratios[::-1], rtol=1e-9)
+        plus = converged_field_ratio_vector(scene, make_paper_target(x, y, theta))[0]
+        minus = converged_field_ratio_vector(scene, make_paper_target(x, -y, -theta))[0]
+        assert_allclose(minus, plus[::-1], rtol=1e-9)
 
 
 class TestFieldAutocorrelation:
@@ -91,15 +80,15 @@ class TestMeanExcessAttenuation:
 
     def test_single_antenna_reduces_to_per_antenna_value(self):
         scene = Scene(2.4868e9, ArraySpec(0, WAVELENGTH / 2, 4.0), link_height=0.9)
-        target = make_paper_target()
-        obs = observe(scene, target)
-        got = mean_attenuation_from_snapshots(uniform_weights(0), obs.empty, obs.occupied)
-        expected = excess_attenuation_db(converged_field_ratio_vector(scene, target)[0][0])
-        assert got == pytest.approx(expected, rel=1e-12)
+        ratios = converged_field_ratio_vector(scene, make_paper_target())[0]
+        empty = boresight_steering(scene)
+        got = mean_attenuation_from_snapshots(uniform_weights(0), empty, empty * ratios)
+        assert got == pytest.approx(excess_attenuation_db(ratios[0]), rel=1e-12)
 
-    def test_on_los_desk_value(self, paper_scene):
-        obs = observe(paper_scene, make_paper_target())
-        att = mean_attenuation_from_snapshots(uniform_weights(2), obs.empty, obs.occupied)
+    def test_on_los_desk_value(self, paper_scene, converged_on_los):
+        empty = boresight_steering(paper_scene)
+        att = mean_attenuation_from_snapshots(uniform_weights(2), empty,
+                                              empty * converged_on_los[0])
         assert att == pytest.approx(15.0, abs=2.0)
 
     def test_matches_noiseless_beamformed_power_ratio(self, paper_scene):
@@ -108,8 +97,7 @@ class TestMeanExcessAttenuation:
         r0 = boresight_steering(paper_scene)
         r1 = r0 * converged_field_ratio_vector(paper_scene, target)[0]
         bridged = 10 * np.log10(abs(np.vdot(w, r0)) ** 2 / abs(np.vdot(w, r1)) ** 2)
-        obs = observe(paper_scene, target)
-        direct = mean_attenuation_from_snapshots(w, obs.empty, obs.occupied)
+        direct = mean_attenuation_from_snapshots(w, r0, r1)
         assert abs(direct - bridged) < 1e-10
 
 
@@ -126,8 +114,9 @@ class TestDoaSpectrum:
         assert g[0] > 0.0 and g[-1] < np.pi
         assert g.size == spectrum.excess_attenuation_db.size
 
-    def test_scale_invariance(self, paper_scene):
-        _, r0, r1, _ = observe(paper_scene, make_paper_target())
+    def test_scale_invariance(self, paper_scene, converged_on_los):
+        r0 = boresight_steering(paper_scene)
+        r1 = r0 * converged_on_los[0]
         base = attenuation_spectrum_from_snapshots(r0, r1, WAVELENGTH / 2, WAVELENGTH)
         c = 2.7 - 1.3j
         scaled = attenuation_spectrum_from_snapshots(c * r0, c * r1, WAVELENGTH / 2, WAVELENGTH)

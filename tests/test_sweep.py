@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arrayshadow import TargetSheet, em_model, geometry, observe, sensing
+from arrayshadow import TargetSheet, converged_field_ratio_vector, em_model, geometry, sensing
 from arrayshadow.em_model import SolveError, converged_field_ratio_vectors
 from arrayshadow.runner import ScenarioError, SimulationError, parse_scenario, run
 from arrayshadow.sensing import attenuation_spectra, boresight_steering
@@ -16,21 +16,18 @@ from test_runner import minimal_config
 
 
 def solve_as_run_does_and_alone(scene, targets):
-    """The batched solve's reports, after checking it and its snapshots against ``observe``."""
+    """The batched solve's reports, after checking each row against a solve of its target alone."""
     ratios, reports = converged_field_ratio_vectors(scene, targets)
-    empty = boresight_steering(scene)
-    single = [observe(scene, t) for t in targets]
     assert ratios.shape == (len(targets), scene.array.num_elements) and len(reports) == len(targets)
-    for row, occupied, report, obs in zip(ratios, empty * ratios, reports, single):
-        assert np.array_equal(row, obs.ratios)
-        assert np.array_equal(empty, obs.empty)
-        assert np.array_equal(occupied, obs.occupied)
-        assert report == obs.quadrature
+    for row, report, target in zip(ratios, reports, targets):
+        alone, alone_report = converged_field_ratio_vector(scene, target)
+        assert np.array_equal(row, alone)
+        assert report == alone_report
     return reports
 
 
 @pytest.mark.parametrize("half_count", [2, 4, 8])
-def test_a_rotated_sweep_equals_one_observe_per_position(half_count):
+def test_a_rotated_sweep_equals_one_solve_per_position(half_count):
     scene = make_paper_scene(half_count)
     rotation = np.radians(-17.5)
     targets = [make_paper_target(0.5 + 0.25 * i, 0.1 * (i % 7) - 0.3, rotation) for i in range(13)]
@@ -195,7 +192,7 @@ def test_a_sheet_outside_the_link_is_refused_before_any_grid(monkeypatch, x, rot
                "and the array (x = 4 m)")
     assert str(err.value) == message
     with pytest.raises(SolveError, match=f"^{re.escape(message)}$"):
-        observe(scene, outside)
+        converged_field_ratio_vector(scene, outside)
     # parse's rule and words, after the position's label
     raw = minimal_config()
     raw["target"].update(positions_m=[[x, 0.0]], rotation_deg=rotation_deg)
@@ -211,7 +208,7 @@ def test_a_sheet_outside_the_link_is_refused_before_any_grid(monkeypatch, x, rot
 ])
 def test_a_sheet_too_wide_for_any_grid_gets_the_budget_message(half_width, nodes):
     with pytest.raises(SolveError) as err:
-        observe(make_paper_scene(2), TargetSheet((1.0, 0.0), half_width, 0.9))
+        converged_field_ratio_vector(make_paper_scene(2), TargetSheet((1.0, 0.0), half_width, 0.9))
     assert str(err.value) == (
         f"quadrature stopped at relative change inf against rel_tol 1e-09: quadrature grid of "
         f"{nodes} exceeds the budget of 10,000,000 nodes"
