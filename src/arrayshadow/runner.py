@@ -262,8 +262,11 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
 
     errors: list[str] = []
     sections = {"": raw}
-    sections.update((name, _typed(raw.get(name), dict, name, errors, {}) or {})
-                    for name in _KEYS if name)
+    sections.update((name, _typed(raw.get(name), dict, name, errors, {})) for name in _KEYS if name)
+    # a section of the wrong type gets that one message: its keys read as NaN or None,
+    # which no check that a key is given or non-empty reports
+    malformed = {name for name, section in sections.items() if section is None}
+    sections.update(dict.fromkeys(malformed, {}))
     for name, section in sections.items():
         errors += [
             f"{name or 'top level'}: unknown key {_quoted(key)}"
@@ -272,6 +275,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     fields = {}
     for name, (field, default, integer, low, high) in _NUMBERS.items():
         section, _, key = name.partition(".")
+        if section in malformed:
+            default = math.nan
         value = fields[field] = _number(sections[section].get(key), name, errors, default, integer)
         if low is not None and value is not None and (value < low if integer else value <= low):
             errors.append(f"{name} must be {f'an integer >= {low}' if integer else 'positive'}")
@@ -294,7 +299,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     first_with_tag: dict[str, int] = {}
     label = "target.positions_m"
     bad: list[str] = []
-    listed = _typed(sections["target"].get("positions_m"), list, label, errors, [])
+    listed = _typed(sections["target"].get("positions_m"), list, label, errors,
+                    None if "target" in malformed else [])
     too_many = len(listed or ()) > MAX_POSITIONS
     if too_many:  # refused before each position is checked, at about 5 us a position
         errors.append(f"{label}: {len(listed):,} positions exceed the cap of {MAX_POSITIONS:,}")

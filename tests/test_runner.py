@@ -246,8 +246,14 @@ class TestLoadScenario:
         (None, "outputs", {}, "outputs must be a list"),
         ("array_factor", "spacings_wavelengths", 5,
          "array_factor.spacings_wavelengths must be a list"),
+        # a section of the wrong type: none of its keys also reads as missing or empty
+        (None, "target", [1], "target must be an object"),
+        (None, "scene", 5, "scene must be an object"),
+        (None, "processing", [1], "processing must be an object"),
+        (None, "array_factor", "0.5", "array_factor must be an object"),
     ], ids=["position-not-a-pair", "positions-a-number", "outputs-a-number", "outputs-an-object",
-            "spacings-a-number"])
+            "spacings-a-number", "target-a-list", "scene-a-number", "processing-a-list",
+            "array-factor-a-string"])
     def test_malformed_positions_are_not_also_called_empty(self, section, key, value, message):
         raw = minimal_config(outputs=["per_antenna_attenuation", "array_factor"])
         (raw if section is None else raw.setdefault(section, {}))[key] = value
@@ -761,7 +767,7 @@ class TestRun:
         assert len(garbled_runs) == 3
 
     def test_a_run_builds_a_handful_of_rules(self):
-        # an uncached order-150 rule costs about 3.6 ms, several desk solves; the start
+        # an uncached order-150 rule costs about 0.3 ms, half a warm desk solve; the start
         # orders are multiples of 4, and each check is 4 below its solve
         raw = minimal_config(outputs=["per_antenna_attenuation"])
         raw["scene"]["half_count"] = 4
