@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,58 +87,66 @@ def _check_oracle_args(knife: argparse.ArgumentParser, args) -> None:
         knife.error(f"--nu-min, --nu-max and --step give more than {_MAX_ORACLE_POINTS:,} points")
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a library warning as one ``warning:`` line on stderr, without its source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser, knife = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "oracle":
         _check_oracle_args(knife, args)
-    try:
-        if args.command == "simulate":
-            table = run(_resolve_config(args.config))
-            for path in export(table, args.format, args.out):
-                print(path)
-            return 0
-        if args.command == "validate":
-            config = _resolve_config(args.config)
-            print(f"OK: {len(config.positions)} position(s), outputs: {', '.join(config.outputs)}")
-            print(f"at most {exported_bound(config):,} exported values, against a budget of "
-                  f"{MAX_EXPORTED_VALUES:,}")
-            if any(k != "array_factor" for k in config.outputs):
-                targets = [config.target_at(x, y) for x, y in config.positions]
-                orders = start_orders(config, config.scene(), targets)  # within parse's bound
-                for (x, y), (across, up) in zip(config.positions, orders.astype(int).tolist()):
-                    print(f"position ({x:g}, {y:g}): start orders {across} x {up}, "
-                          f"{folded_nodes(across, up):,} folded nodes")
-            return 0
-        if args.command == "presets":
-            for name in PRESET_NAMES:
-                print(name)
-            return 0
-        if args.command == "oracle":
-            try:
-                from .oracles import knife_edge_attenuation  # loads scipy
-            except ModuleNotFoundError as e:
-                if (e.name or "").partition(".")[0] != "scipy":
-                    raise
-                print(
-                    "error: oracle knife-edge needs scipy; install the extra: "
-                    "pip install 'arrayshadow[oracle]'",
-                    file=sys.stderr,
-                )
-                return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            if args.command == "simulate":
+                table = run(_resolve_config(args.config))
+                for path in export(table, args.format, args.out):
+                    print(path)
+                return 0
+            if args.command == "validate":
+                config = _resolve_config(args.config)
+                print(f"OK: {len(config.positions)} position(s), "
+                      f"outputs: {', '.join(config.outputs)}")
+                print(f"at most {exported_bound(config):,} exported values, against a budget of "
+                      f"{MAX_EXPORTED_VALUES:,}")
+                if any(k != "array_factor" for k in config.outputs):
+                    # within parse's bound
+                    orders = start_orders(config, config.scene(), config.positions)
+                    for (x, y), (across, up) in zip(config.positions, orders.astype(int).tolist()):
+                        print(f"position ({x:g}, {y:g}): start orders {across} x {up}, "
+                              f"{folded_nodes(across, up):,} folded nodes")
+                return 0
+            if args.command == "presets":
+                for name in PRESET_NAMES:
+                    print(name)
+                return 0
+            if args.command == "oracle":
+                try:
+                    from .oracles import knife_edge_attenuation  # loads scipy
+                except ModuleNotFoundError as e:
+                    if (e.name or "").partition(".")[0] != "scipy":
+                        raise
+                    print(
+                        "error: oracle knife-edge needs scipy; install the extra: "
+                        "pip install 'arrayshadow[oracle]'",
+                        file=sys.stderr,
+                    )
+                    return 2
 
-            nus = np.arange(args.nu_min, args.nu_max + args.step / 2.0, args.step)
-            print("nu,knife_edge_attenuation_db")
-            for nu in nus:
-                print(f"{nu:.6g},{knife_edge_attenuation(float(nu)):.9g}")
-            return 0
-        return 2
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (SimulationError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+                nus = np.arange(args.nu_min, args.nu_max + args.step / 2.0, args.step)
+                print("nu,knife_edge_attenuation_db")
+                for nu in nus:
+                    print(f"{nu:.6g},{knife_edge_attenuation(float(nu)):.9g}")
+                return 0
+            return 2
+        except ScenarioError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        except (SimulationError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

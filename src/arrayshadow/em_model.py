@@ -22,6 +22,7 @@ pairwise sum.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,7 @@ from .geometry import (
     check_orders,
     discretize_sheets,
     folded_nodes,
+    pair_rows,
     sheet_orders,
     sheet_span_error,
 )
@@ -61,7 +63,7 @@ class QuadratureReport(NamedTuple):
 
 
 class SolveError(ValueError):
-    """A solve of a batch that failed; ``index`` is its target's place in the batch."""
+    """A solve of a batch that failed; ``index`` is its centre's place in the batch."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
@@ -225,10 +227,10 @@ def converged_field_ratio_vector(
 ) -> tuple[np.ndarray, QuadratureReport]:
     """Field ratios of ``target`` from one checked solve, and its report.
 
-    ``converged_field_ratio_vectors`` for one target.
+    ``converged_field_ratio_vectors`` of ``target`` at its barycenter.
     """
     ratios, reports = converged_field_ratio_vectors(
-        scene, [target], rel_tol, None if orders is None else [orders]
+        scene, target, [target.barycenter], rel_tol, None if orders is None else [orders]
     )
     return ratios[0], reports[0]
 
@@ -253,43 +255,51 @@ def _chunks(tasks, antennas: int):
 
 def converged_field_ratio_vectors(
     scene: Scene,
-    targets,
+    sheet: TargetSheet,
+    centers,
     rel_tol: float = DEFAULT_REL_TOL,
     orders=None,
 ) -> tuple[np.ndarray, list[QuadratureReport]]:
-    """Field ratios of each of ``targets`` from one checked solve each, and their reports.
+    """Field ratios of ``sheet`` placed at each (x, y) row of ``centers``, and their reports.
 
-    Each target is solved on the ``discretize_sheet`` grid at its row of
+    Each centre is solved on the ``discretize_sheet`` grid at its row of
     ``orders`` (across, up; by default ``sheet_orders``) and checked against
     a solve at 4 fewer nodes per axis. While the worst per-antenna relative
     change between the two is not below ``rel_tol`` (a NaN change included),
-    both axis orders double and the pair is solved again. A target's ratios
+    both axis orders double and the pair is solved again. A centre's ratios
     are the finer solve of its last pair, so a looser ``rel_tol`` never
     returns a coarser grid; its report's change is the check's error, a
     conservative estimate of the returned solve's. Returns one row of ratios
-    per target, m = -M .. +M.
+    per centre, m = -M .. +M.
 
-    All pending targets' grids are built and summed together, round by
+    All pending centres' grids are built and summed together, round by
     round, in chunks of whole grids (``_chunks``) sorted by orders, so grids
-    of equal orders share one rule. Every value is that of the target's own
-    solve: no bit depends on the other targets.
+    of equal orders share one rule. Every value is that of the centre's own
+    solve: no bit depends on the other centres.
 
-    Raises SolveError, a ValueError naming the first failing target in
-    ``targets`` order. Before any grid is built: when the sheet does not lie
-    strictly between the transmitter and the array plane
-    (``geometry.sheet_span_error``), when its orders are 4 or less, or when
-    a finite order is not an integer. Then: when a node of its grid lies on
-    the transmitter or an antenna, and when its next grid would exceed
-    ``geometry.MAX_GRID_NODES`` or ``geometry.MAX_ORDER``, giving the change
-    reached (inf before the first pair; an order that overflows reads as
-    inf). No later target is solved further. An empty ``targets`` gives a
-    (0, antennas) array and no reports.
+    Raises ValueError before any grid is built when ``rel_tol`` is not
+    positive and finite, ``centers`` not (x, y) rows (``pair_rows``), or
+    ``orders`` not one row per centre. Raises
+    SolveError, a ValueError naming the first failing centre in
+    ``centers`` order. Before any grid is built: when the centre is not
+    finite or the sheet there does not lie strictly between the
+    transmitter and the array plane (``geometry.sheet_span_error``), when
+    its orders are 4 or less, or when a finite order is not an integer.
+    Then: when a node of its grid lies on the transmitter or an antenna,
+    and when its next grid would exceed ``geometry.MAX_GRID_NODES`` or
+    ``geometry.MAX_ORDER``, giving the change reached (inf before the
+    first pair; an order that overflows reads as inf). No later centre is
+    solved further. No centres give a (0, antennas) array and no reports.
     """
-    orders = np.array(sheet_orders(scene, targets) if orders is None else orders,
-                      dtype=float).reshape(len(targets), 2)
-    for i, (target, (ny, nz)) in enumerate(zip(targets, orders.tolist())):
-        outside = sheet_span_error(target.barycenter[0], target.half_width, target.rotation,
-                                   scene.array.central_distance)
+    if not 0.0 < rel_tol < math.inf:  # NaN fails it
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol:g}")
+    centers = pair_rows(centers)
+    orders = pair_rows(sheet_orders(scene, sheet, centers) if orders is None else orders,
+                        len(centers))
+    for i, ((x, y), (ny, nz)) in enumerate(zip(centers.tolist(), orders.tolist())):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise SolveError(i, f"barycenter must be finite, got ({x:g}, {y:g})")
+        outside = sheet_span_error(x, sheet.half_width, sheet.rotation, scene.array.central_distance)
         if outside is not None:
             raise SolveError(i, outside)
         if not (ny > 4 and nz > 4):
@@ -297,10 +307,10 @@ def converged_field_ratio_vectors(
         if ny % 1 > 0 or nz % 1 > 0:  # inf % 1 is NaN: an infinite order meets the budget
             raise SolveError(i, f"quadrature orders must be integers, got {ny:g} x {nz:g}")
     link = _Link.of(scene)
-    solves = np.empty((2, len(targets), len(link.rx)), dtype=complex)  # checks, finer solves
-    change = np.full(len(targets), np.inf)
-    failures: dict[int, tuple[str, Exception | None]] = {}  # target -> message, cause
-    pending = np.arange(len(targets))
+    solves = np.empty((2, len(centers), len(link.rx)), dtype=complex)  # checks, finer solves
+    change = np.full(len(centers), np.inf)
+    failures: dict[int, tuple[str, Exception | None]] = {}  # centre -> message, cause
+    pending = np.arange(len(centers))
     while pending.size:
         for i in pending.tolist():
             try:
@@ -308,16 +318,16 @@ def converged_field_ratio_vectors(
             except ValueError as e:
                 failures[i] = (f"quadrature stopped at relative change {change[i]:.3g} against "
                                f"rel_tol {rel_tol:g}: {e}", e)
-        if failures:  # a later target's solve cannot change what is raised
+        if failures:  # a later centre's solve cannot change what is raised
             pending = pending[pending < min(failures)]
-        # (orders, target, 0 for the check or 1 for the finer solve), the check first; the
+        # (orders, centre, 0 for the check or 1 for the finer solve), the check first; the
         # pending orders have passed check_orders, so they fit ints
         pairs = zip(pending.tolist(), orders[pending].astype(int).tolist())
         tasks = sorted(((ny - 4 + 4 * fine, nz - 4 + 4 * fine), i, fine)
                        for i, (ny, nz) in pairs for fine in (0, 1))
         for chunk in _chunks(tasks, len(link.rx)):
             grid_orders, where, which = zip(*chunk)
-            grid = discretize_sheets(scene, [targets[i] for i in where], grid_orders)
+            grid = discretize_sheets(scene, sheet, centers[list(where)], grid_orders)
             values, close = _field_ratios(link, grid, [folded_nodes(*o) for o in grid_orders])
             del grid  # before the next chunk's grid is built
             solves[which, where] = values

@@ -10,6 +10,7 @@ vertically from h - a_z to h + a_z.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -282,24 +283,24 @@ def rule_orders(sweep, density: float = 1.0) -> np.ndarray:
 
 # Distances that overflow give inf, and inf - inf a NaN sweep, read as inf.
 @np.errstate(over="ignore", invalid="ignore")
-def path_sweeps(scene: Scene, targets) -> np.ndarray:
-    """Path sweeps (across, up) of each sheet in ``targets``, in wavelengths, one row each.
+def path_sweeps(scene: Scene, sheet: TargetSheet, centers) -> np.ndarray:
+    """Path sweeps (across, up) of ``sheet`` at each (x, y) row of ``centers``, in wavelengths.
 
-    The path length r1 + r2, in wavelengths, is sampled at each sheet's
-    corners, edge midpoints and centre, for the two outermost antennas. An
-    axis's path sweep is |p(-1) - p(0)| + |p(1) - p(0)| along each of its
-    three sample lines, the worst over the lines and the two antennas; inf
-    when the distances overflow.
+    The path length r1 + r2, in wavelengths, is sampled at the corners, edge
+    midpoints and centre of the sheet's shape at each centre, for the two
+    outermost antennas. An axis's path sweep is |p(-1) - p(0)| + |p(1) - p(0)|
+    along each of its three sample lines, the worst over the lines and the
+    two antennas; inf when the distances overflow or a centre is not finite.
+    Raises ValueError unless ``centers`` holds (x, y) rows (``pair_rows``).
     """
-    rotation = np.array([t.rotation for t in targets])
-    half = np.array([(t.half_width, t.half_height) for t in targets]).reshape(-1, 2)  # (P, 2)
-    center = np.array([(*t.barycenter, scene.link_height) for t in targets]).reshape(-1, 3)
-    in_plane = np.stack([-np.sin(rotation), np.cos(rotation), np.zeros_like(rotation)], axis=1)
+    centers = pair_rows(centers)
+    center = np.column_stack([centers, np.full(len(centers), scene.link_height)])
+    in_plane = np.array([-np.sin(sheet.rotation), np.cos(sheet.rotation), 0.0])
     s = np.array([-1.0, 0.0, 1.0])
     # samples[p, i, j] = center + a_y s_i in_plane + a_z s_j vertical, shape (P, 3, 3, 3)
     samples = (center[:, None, None, :]
-               + (half[:, 0, None] * s)[:, :, None, None] * in_plane[:, None, None, :]
-               + (half[:, 1, None] * s)[:, None, :, None] * np.array([0.0, 0.0, 1.0]))
+               + ((sheet.half_width * s)[:, None] * in_plane)[:, None, :]
+               + (sheet.half_height * s)[:, None] * np.array([0.0, 0.0, 1.0]))
     r1 = np.linalg.norm(samples - scene.tx, axis=-1)
     ends = antenna_positions(scene)[[0, -1]]
     path = np.stack([r1 + np.linalg.norm(samples - rx, axis=-1) for rx in ends], axis=1)
@@ -310,15 +311,31 @@ def path_sweeps(scene: Scene, targets) -> np.ndarray:
     return np.where(np.isnan(sweep), np.inf, sweep)
 
 
-def sheet_orders(scene: Scene, targets, density: float = 1.0) -> np.ndarray:
-    """Start orders (across, up) of each sheet in ``targets``, one row each, as floats.
+def sheet_orders(scene: Scene, sheet: TargetSheet, centers, density: float = 1.0) -> np.ndarray:
+    """Start orders (across, up) of ``sheet`` at each row of ``centers``, one row each, as floats.
 
     Each axis gets ``rule_orders`` of its ``path_sweeps`` at ``density``:
     a start, to be checked (``em_model.converged_field_ratio_vectors``), as
     the samples miss the 1/r growth near a link end. No budget applies, so
     an order too large for an int reads inf: cast only once one bounds them.
     """
-    return rule_orders(path_sweeps(scene, targets), density)
+    return rule_orders(path_sweeps(scene, sheet, centers), density)
+
+
+def pair_rows(values, count: int | None = None) -> np.ndarray:
+    """``values`` as float rows of two, or ValueError; an empty input has none.
+
+    With no ``count`` the rows are (x, y) centres, any number of them; with
+    one, ``count`` (across, up) orders, one per centre, always as a copy.
+    """
+    rows = np.asarray(values, dtype=float) if count is None else np.array(values, dtype=float)
+    rows = rows.reshape(0, 2) if rows.shape == (0,) else rows
+    if count is None and (rows.ndim != 2 or rows.shape[1] != 2):
+        raise ValueError(f"centers must be (x, y) rows, got shape {rows.shape}")
+    if count is not None and rows.shape != (count, 2):
+        raise ValueError(f"orders must give one (across, up) row per centre: {count:,} centre(s), "
+                         f"orders of shape {rows.shape}")
+    return rows
 
 
 def check_orders(across, up) -> None:
@@ -359,8 +376,8 @@ def discretize_sheet(target: TargetSheet, scene: Scene, orders=None) -> Quadratu
     case of ``discretize_sheets``.
     """
     if orders is None:
-        orders = sheet_orders(scene, [target])[0]
-    return discretize_sheets(scene, [target], [orders])
+        orders = sheet_orders(scene, target, [target.barycenter])[0]
+    return discretize_sheets(scene, target, [target.barycenter], [orders])
 
 
 def folded_nodes(across: int, up: int) -> int:
@@ -368,19 +385,28 @@ def folded_nodes(across: int, up: int) -> int:
     return across * (up - up // 2)
 
 
-def discretize_sheets(scene: Scene, targets, orders) -> QuadratureGrid:
-    """The ``discretize_sheet`` grids of ``targets``, one at each row of ``orders``, end to end.
+def discretize_sheets(scene: Scene, sheet: TargetSheet, centers, orders) -> QuadratureGrid:
+    """The ``discretize_sheet`` grids of ``sheet`` at each (x, y) row of ``centers``, end to end.
 
-    Grid i holds ``folded_nodes(*orders[i])`` nodes and follows grid i - 1.
-    Consecutive sheets of one shape, rotation and orders share one rule:
-    its offsets along the sheet, its heights and its areas are computed
-    once, and every sheet's nodes are placed in one broadcast per
-    coordinate. Raises ValueError before allocation when a grid exceeds a
-    budget (``check_orders``), which reads the orders as given, before they
-    are cast to int, or when an order is NaN or not a positive integer.
+    Only the sheet's shape is read. Grid i holds ``folded_nodes(*orders[i])``
+    nodes at ``centers[i]`` and follows grid i - 1. Consecutive grids of
+    equal orders share one rule: its offsets along the sheet, its heights
+    and its areas are computed once, and their nodes are placed in one
+    broadcast per coordinate. Raises ValueError before allocation when
+    ``centers`` is not (x, y) rows (``pair_rows``) or a centre is not
+    finite, when ``orders`` does not give one row per centre
+    (``pair_rows``), when a grid exceeds a budget (``check_orders``), read
+    as given, before the cast to int, or when an order is NaN or not a
+    positive integer.
     """
-    orders = [(ny, nz) for ny, nz in np.asarray(orders).tolist()]
-    for ny, nz in dict.fromkeys(orders):  # each distinct orders once, in order
+    centers = pair_rows(centers)
+    finite = np.isfinite(centers).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first centre that is not finite
+        x, y = centers[i]
+        raise ValueError(f"barycenter must be finite, got ({x:g}, {y:g}) at centre {i}")
+    orders = pair_rows(orders, len(centers)).tolist()
+    for ny, nz in dict.fromkeys(map(tuple, orders)):  # each distinct orders once, in order
         if math.isnan(ny) or math.isnan(nz):  # NaN passes every comparison below
             raise ValueError(f"quadrature orders must be numbers, got {ny:g} x {nz:g}")
         check_orders(ny, nz)
@@ -389,35 +415,30 @@ def discretize_sheets(scene: Scene, targets, orders) -> QuadratureGrid:
         if ny % 1 > 0 or nz % 1 > 0:
             raise ValueError(f"quadrature orders must be integers, got {ny:g} x {nz:g}")
     orders = [(int(ny), int(nz)) for ny, nz in orders]
-    runs: list[list] = []  # [rule key, sheets]: consecutive sheets that share a rule
-    for target, (ny, nz) in zip(targets, orders):
-        key = (target.half_width, target.half_height, target.rotation, ny, nz)
-        if runs and runs[-1][0] == key:
-            runs[-1][1].append(target)
-        else:
-            runs.append([key, [target]])
+    ay, az, theta = sheet.half_width, sheet.half_height, sheet.rotation
     total = sum(folded_nodes(*o) for o in orders)
     points = np.empty((total, 3), order="F")  # each coordinate the distances read is contiguous
     areas = None if len(orders) == 1 else np.empty(total)
-    end = 0
-    for (ay, az, theta, ny, nz), sheets in runs:
+    first = end = 0
+    for (ny, nz), run in itertools.groupby(orders):
+        count = sum(1 for _ in run)
+        run_centers, first = centers[first:first + count], first + count
         u, wu = gauss_legendre(ny)
         # The TX, every antenna and the sheet centre share z = h, so r1 and r2 are
         # even in z - h and each node below h adds what its mirror node above adds.
         v, wv = (a[nz // 2:] for a in gauss_legendre(nz))
         wv = np.where(v > 0.0, 2.0 * wv, wv)  # an odd order's middle node v = 0 counts once
         rule_areas = np.outer(ay * wu, az * wv).ravel()
-        start, end = end, end + len(sheets) * len(rule_areas)
-        # node (i, j) of sheet p sits at c_p + a_y u_i in_plane + a_z v_j vertical, in the
+        start, end = end, end + count * len(rule_areas)
+        # node (i, j) of grid p sits at c_p + a_y u_i in_plane + a_z v_j vertical, in the
         # (across, up) mesh raveled; the in-plane axis is horizontal, so z = h + a_z v_j
-        shape = (len(sheets), ny, len(v))
-        centers = np.array([t.barycenter for t in sheets])
+        shape = (count, ny, len(v))
         for j, direction in enumerate((-np.sin(theta), np.cos(theta))):
-            np.add((ay * u * direction)[:, None], centers[:, j, None, None],
+            np.add((ay * u * direction)[:, None], run_centers[:, j, None, None],
                    out=points[start:end, j].reshape(shape))
         np.add(az * v, scene.link_height, out=points[start:end, 2].reshape(shape))
         if areas is None:
             areas = rule_areas
         else:
-            areas[start:end].reshape(len(sheets), -1)[...] = rule_areas
+            areas[start:end].reshape(count, -1)[...] = rule_areas
     return QuadratureGrid(points=points, areas=areas)

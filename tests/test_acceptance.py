@@ -244,7 +244,7 @@ def test_criterion_10_structural_properties(tmp_path, converged_on_los):
 
     target = make_paper_target(1.0, 0.0)
     converged, _ = converged_on_los
-    dense_orders = sheet_orders(scene, [target], 16.0)[0]  # 16 times the rule's density
+    dense_orders = sheet_orders(scene, target, [(1.0, 0.0)], 16.0)[0]  # 16 times the rule's density
     dense = converged_field_ratio_vector(scene, target, orders=dense_orders)[0]
     grid_change = float(np.max(np.abs(converged - dense) / np.abs(converged)))
     quad_ok = grid_change < 1e-4

@@ -134,7 +134,8 @@ class TestFieldRatio:
         # buffers span 688 nodes, not the 3,276 of a block: at a block's width the call peaks
         # at 462,185 B. The cos and sin kernel this one replaced peaked at 174,401 B.
         scene = make_paper_scene(2)
-        grid = discretize_sheets(scene, [make_paper_target()] * 2, [(16, 36), (20, 40)])
+        grid = discretize_sheets(scene, make_paper_target(), [(1.0, 0.0)] * 2,
+                                 [(16, 36), (20, 40)])
         link = em_model._Link.of(scene)
         em_model._field_ratios(link, grid, [288, 400])  # numpy's first-call allocations
         tracemalloc.start()
@@ -237,9 +238,9 @@ def recording_orders(monkeypatch) -> list[tuple[int, int]]:
     """The orders of every grid the checked solve builds, in build order."""
     orders = []
 
-    def recording_discretize_sheets(scene, targets, given):
+    def recording_discretize_sheets(scene, sheet, centers, given):
         orders.extend(tuple(int(n) for n in row) for row in given)
-        return discretize_sheets(scene, targets, given)
+        return discretize_sheets(scene, sheet, centers, given)
 
     monkeypatch.setattr(em_model, "discretize_sheets", recording_discretize_sheets)
     return orders
@@ -254,8 +255,8 @@ class TestQuadratureConvergence:
         scene = make_paper_scene(half_count)
         target = make_paper_target(x, y, np.radians(rotation_deg))
         start, dense = (
-            field_ratio_vector(scene, target,
-                               discretize_sheet(target, scene, sheet_orders(scene, [target], d)[0]))
+            field_ratio_vector(scene, target, discretize_sheet(
+                target, scene, sheet_orders(scene, target, [target.barycenter], d)[0]))
             for d in (1.0, 4.0)
         )
         assert_allclose(start, dense, rtol=1e-11)
@@ -271,7 +272,7 @@ class TestQuadratureConvergence:
         scene = make_paper_scene(half_count)
         target = make_paper_target(x, y, np.radians(rotation_deg))
         ratios, report = converged_field_ratio_vector(scene, target)
-        assert report.orders == tuple(sheet_orders(scene, [target])[0])
+        assert report.orders == tuple(sheet_orders(scene, target, [(x, y)])[0])
         reference = field_ratio_vector(scene, target, discretize_sheet(target, scene, (96, 192)))
         assert_allclose(ratios, reference, rtol=1e-11)
 
@@ -314,7 +315,7 @@ class TestQuadratureConvergence:
             converged_field_ratio_vector(paper_scene, make_paper_target(), orders=orders)
         with pytest.raises(em_model.SolveError, match=message) as err:  # before any grid
             em_model.converged_field_ratio_vectors(
-                paper_scene, [make_paper_target()] * 2, orders=[(20, 40), orders])
+                paper_scene, make_paper_target(), [(1.0, 0.0)] * 2, orders=[(20, 40), orders])
         assert err.value.index == 1
 
     def test_returned_change_is_that_of_the_last_pair(self, paper_scene, converged_on_los):
@@ -427,7 +428,7 @@ class TestPhysicsInvariants:
         half_height = (2 * half_rows + parity) * 0.1 * WAVELENGTH / 2.0
         scene = Scene(CARRIER_HZ, ArraySpec(half_count, WAVELENGTH / 2.0, 4.0), link_height)
         target = TargetSheet((x, y), half_width, half_height, theta)
-        orders = (sheet_orders(scene, [target])[0][0], 2 * half_rows + parity)
+        orders = (sheet_orders(scene, target, [(x, y)])[0][0], 2 * half_rows + parity)
         assert_allclose(
             field_ratio_vector(scene, target, discretize_sheet(target, scene, orders)),
             field_ratio_vector(scene, target, full_gauss_legendre_grid(scene, target, orders)),

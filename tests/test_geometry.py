@@ -153,7 +153,7 @@ class TestDiscretizeSheet:
         assert_allclose(grid.areas, np.outer(across, 2.0 * 0.5 * GL4_WEIGHTS).ravel(), rtol=1e-14)
 
     def test_paper_grid_shape_and_area(self, paper_scene):
-        assert sheet_orders(paper_scene, [make_paper_target()]).tolist() == [[20, 40]]
+        assert sheet_orders(paper_scene, make_paper_target(), [(1.0, 0.0)]).tolist() == [[20, 40]]
         grid = discretize_sheet(make_paper_target(), paper_scene)
         assert grid.points.shape[0] == 20 * 20  # 40 nodes up the sheet, folded
         assert grid.areas.sum() == pytest.approx(0.99, rel=1e-12)
@@ -161,7 +161,7 @@ class TestDiscretizeSheet:
     def test_density_scales_the_orders(self, paper_scene):
         target = make_paper_target(1.0, 0.3)
         densities = (1.0, 2.0, 4.0, 32.0)
-        assert [sheet_orders(paper_scene, [target], d).tolist() for d in densities] == [
+        assert [sheet_orders(paper_scene, target, [(1.0, 0.3)], d).tolist() for d in densities] == [
             [[20, 40]], [[40, 80]], [[80, 156]], [[640, 1_248]],
         ]
 
@@ -172,7 +172,7 @@ class TestDiscretizeSheet:
             target = TargetSheet((1.5, 0.3), ay, az, rotation=rng.uniform(0, np.pi))
             grid = discretize_sheet(target, paper_scene)
             assert grid.areas.sum() == pytest.approx(4 * ay * az, rel=1e-12)
-            ny, nz = sheet_orders(paper_scene, [target])[0]
+            ny, nz = sheet_orders(paper_scene, target, [target.barycenter])[0]
             assert len(grid.areas) == ny * -(-nz // 2)  # the nodes at or above the link plane
 
     @pytest.mark.parametrize("half_width, half_height, ny, nz", [
@@ -249,25 +249,30 @@ class TestDiscretizeSheet:
             up = max(sweep(lambda s, u=u: (u, s)) for u in (-1, 0, 1))
             nodes = (int(np.ceil(np.pi * s + ORDER_MARGIN)) for s in (across, up))
             expected.append([-(-n // 4) * 4 for n in nodes])  # up to a multiple of 4
-        got = sheet_orders(scene, targets)
+        got = np.array([sheet_orders(scene, t, [t.barycenter])[0] for t in targets])
         assert got.tolist() == expected
         assert np.all(got % 4 == 0) and np.all(got >= 16)
-        # one call for all sheets gives each sheet's own orders
-        assert [sheet_orders(scene, [t])[0].tolist() for t in targets] == expected
+        # one call at every centre gives each centre's own orders
+        centers = [t.barycenter for t in targets]
+        for sheet in targets[:3]:
+            assert sheet_orders(scene, sheet, centers).tolist() == [
+                sheet_orders(scene, sheet, [c])[0].tolist() for c in centers]
 
     def test_no_sheet_exceeds_the_position_free_bound(self, paper_scene):
         # a half-axis of length a moves r1 + r2 by at most 2a
         rng = np.random.default_rng(5)
         for _ in range(5):
             ay, az = rng.uniform(0.01, 2.0, size=2)
-            targets = [TargetSheet((x, y), ay, az, rng.uniform(-np.pi, np.pi))
-                       for x, y in zip(rng.uniform(0.02, 3.98, 50), rng.uniform(-3.0, 3.0, 50))]
+            centers = list(zip(rng.uniform(0.02, 3.98, 50), rng.uniform(-3.0, 3.0, 50)))
+            rotations = [rng.uniform(-np.pi, np.pi) for _ in centers]  # one a sheet
             for density in (1.0, 3.7):
                 bound = rule_orders(4.0 * np.array([ay, az]) / WAVELENGTH, density)
-                assert np.all(sheet_orders(paper_scene, targets, density) <= bound)
+                for center, rotation in zip(centers, rotations):
+                    sheet = TargetSheet(center, ay, az, rotation)
+                    assert np.all(sheet_orders(paper_scene, sheet, [center], density) <= bound)
 
     def test_no_sheets_give_no_orders(self, paper_scene):
-        assert sheet_orders(paper_scene, []).shape == (0, 2)
+        assert sheet_orders(paper_scene, make_paper_target(), []).shape == (0, 2)
 
     @pytest.mark.parametrize("orders", [(0, 4), (4, 0), (-4, 8), (20.7, 40.2), (math.nan, 40), (40, math.nan)])
     def test_nonpositive_orders_rejected(self, paper_scene, orders):
@@ -283,7 +288,7 @@ class TestDiscretizeSheet:
     def test_orders_that_overflow_read_inf(self, paper_scene):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no cast of an overflowing order to int
-            orders = sheet_orders(paper_scene, [TargetSheet((1.0, 0.0), 1e300, 0.9)])
+            orders = sheet_orders(paper_scene, TargetSheet((1.0, 0.0), 1e300, 0.9), [(1.0, 0.0)])
         assert orders.tolist() == [[np.inf, np.inf]]
 
     def test_right_angle_rotation_contains_los_direction(self, paper_scene):
@@ -305,8 +310,8 @@ class TestDiscretizeSheet:
     def test_order_cap_admits_the_largest_shipped_and_desk_grids(self, paper_scene):
         knife_edge = load_preset("knife_edge_validation")
         scene = knife_edge.scene()
-        targets = [knife_edge.target_at(*p) for p in knife_edge.positions]
-        assert sheet_orders(scene, targets).tolist() == [
+        sheet = knife_edge.target_at(*knife_edge.positions[0])
+        assert sheet_orders(scene, sheet, knife_edge.positions).tolist() == [
             [708, 556], [700, 560], [688, 560], [672, 560], [660, 556],
         ]
         sheet = np.array([knife_edge.target_half_width, knife_edge.target_half_height])
@@ -314,7 +319,8 @@ class TestDiscretizeSheet:
         assert bound.tolist() == [784, 740]
         check_orders(*bound)
         # the desk sheet at 32 times the rule's density (step lambda/320)
-        assert sheet_orders(paper_scene, [make_paper_target()], 32.0).tolist() == [[544, 1_248]]
+        assert sheet_orders(paper_scene, make_paper_target(), [(1.0, 0.0)], 32.0).tolist() == [
+            [544, 1_248]]
 
     @pytest.mark.parametrize("half_width, density, order", [
         (500.0, 1.0, "51,928"),  # 1 km wide, 1 mm tall: 51,928 x 16 nodes
@@ -328,7 +334,7 @@ class TestDiscretizeSheet:
 
         monkeypatch.setattr(geometry, "gauss_legendre", no_rule)
         target = TargetSheet((1.0, 0.0), half_width, 0.0005)
-        orders = sheet_orders(paper_scene, [target], density)[0]
+        orders = sheet_orders(paper_scene, target, [target.barycenter], density)[0]
         with pytest.raises(ValueError, match=f"order {order} .* exceeds the cap of 10,000"):
             discretize_sheet(target, paper_scene, orders)
 

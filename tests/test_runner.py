@@ -1084,6 +1084,17 @@ class TestCli:
         assert cli_main(["validate", "paper_fig4"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_a_library_warning_prints_as_one_line(self, tmp_path, capsys, command):
+        raw = minimal_config()
+        raw["scene"]["spacing_wavelengths"] = 0.2
+        args = [command, str(write_config(tmp_path, raw))]
+        assert cli_main(args + (["--out", str(tmp_path / "o")] if command == "simulate" else [])) == 0
+        assert capsys.readouterr().err == (
+            f"warning: antenna spacing {0.2 * WAVELENGTH:.4g} m is <= lambda/4 "
+            f"({WAVELENGTH / 4:.4g} m); the no-mutual-coupling assumption is violated\n"
+        )
+
     def test_validate_prints_each_positions_start_grid(self, tmp_path, capsys):
         assert cli_main(["validate", "paper_fig6"]) == 0
         assert capsys.readouterr().out.splitlines() == [
