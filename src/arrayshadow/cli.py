@@ -7,6 +7,7 @@ runtime or numerical error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import warnings
@@ -149,5 +150,20 @@ def main(argv=None) -> int:
             return 2
 
 
+def process_main() -> int:
+    """``main()`` as a whole process: ``python -m arrayshadow.cli`` and the console script.
+
+    Freezes the heap once ``main`` is done, so that the interpreter's exit
+    skips the collections that would walk and free numpy's object graph one
+    object at a time; the OS reclaims that memory anyway. ``atexit``
+    handlers and the flush of stdout and stderr still run. ``main`` itself
+    does not freeze, so an in-process caller keeps a normal collector.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

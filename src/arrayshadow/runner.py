@@ -84,14 +84,18 @@ class ScenarioConfig:
     array_factor_points: int
 
     def scene(self) -> Scene:
-        return Scene(
-            carrier_frequency=self.carrier_frequency,
-            array=ArraySpec(
-                half_count=self.half_count,
-                spacing=self.spacing,
-                central_distance=self.central_distance,
-            ),
-        )
+        """The run's scene, built on the first call and kept: its spacing
+        <= lambda/4 warning fires once per config, at parse."""
+        if "_scene" not in self.__dict__:
+            object.__setattr__(self, "_scene", Scene(
+                carrier_frequency=self.carrier_frequency,
+                array=ArraySpec(
+                    half_count=self.half_count,
+                    spacing=self.spacing,
+                    central_distance=self.central_distance,
+                ),
+            ))
+        return self._scene
 
     def target_at(self, x: float, y: float) -> TargetSheet:
         return TargetSheet(

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -31,6 +34,7 @@ from arrayshadow import (
 )
 from arrayshadow import runner, sensing
 from arrayshadow.em_model import converged_field_ratio_vectors
+from arrayshadow import cli
 from arrayshadow.cli import _build_parser
 from arrayshadow.cli import main as cli_main
 from arrayshadow.presets import PRESET_NAMES, load_preset, preset_text
@@ -1084,12 +1088,16 @@ class TestCli:
         assert cli_main(["validate", "paper_fig4"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("action", ["default", "always"])
     @pytest.mark.parametrize("command", ["simulate", "validate"])
-    def test_a_library_warning_prints_as_one_line(self, tmp_path, capsys, command):
+    def test_a_library_warning_prints_as_one_line(self, tmp_path, capsys, command, action):
+        # "always" shows every raise: the command builds its scene once
         raw = minimal_config()
         raw["scene"]["spacing_wavelengths"] = 0.2
         args = [command, str(write_config(tmp_path, raw))]
-        assert cli_main(args + (["--out", str(tmp_path / "o")] if command == "simulate" else [])) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert cli_main(args + (["--out", str(tmp_path / "o")] if command == "simulate" else [])) == 0
         assert capsys.readouterr().err == (
             f"warning: antenna spacing {0.2 * WAVELENGTH:.4g} m is <= lambda/4 "
             f"({WAVELENGTH / 4:.4g} m); the no-mutual-coupling assumption is violated\n"
@@ -1216,6 +1224,58 @@ class TestCli:
         )
         assert done.stdout.splitlines()[-1] == "0 []"
         assert len(list(tmp_path.glob("*.csv"))) == 7  # two per position and the means
+
+    def test_the_program_path_writes_what_main_writes(self, tmp_path, capsys):
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def program(*args):
+            return subprocess.run([sys.executable, "-m", "arrayshadow.cli", *args],
+                                  env=env, capture_output=True, text=True)
+
+        done = program("simulate", "paper_fig4", "--format", "csv", "--out", str(tmp_path / "a"))
+        assert done.returncode == 0 and done.stderr == ""
+        paths = [Path(line) for line in done.stdout.splitlines()]
+        assert len(paths) == 7 and all(p.parent == tmp_path / "a" for p in paths)
+        freeze_count = gc.get_freeze_count()
+        assert cli_main(["simulate", "paper_fig4", "--format", "csv", "--out", str(tmp_path / "b")]) == 0
+        assert gc.get_freeze_count() == freeze_count  # only the program path freezes
+        in_process = sorted((tmp_path / "b").iterdir())
+        assert [p.name for p in in_process] == sorted(p.name for p in paths)
+        assert [p.read_bytes() for p in in_process] == [(tmp_path / "a" / p.name).read_bytes()
+                                                        for p in in_process]
+
+        done = program("simulate", "no_such_preset")
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+        (tmp_path / "file").write_text("")
+        done = program("simulate", "paper_fig4", "--out", str(tmp_path / "file"))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ")
+
+    def test_the_program_path_freezes_the_heap_and_runs_atexit(self):
+        # runpy runs the "-m" block as "python -m arrayshadow.cli presets list" does
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['arrayshadow', 'presets', 'list']\n"
+            "runpy.run_module('arrayshadow.cli', run_name='__main__')\n"
+        )
+        src = str(Path(geometry.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.splitlines() == [*PRESET_NAMES, "frozen True"]
+
+    def test_the_console_script_is_the_program_path(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = Path(cli.__file__).resolve().parents[2]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        (main_block,) = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                         if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        (statement,) = main_block.body
+        entry = re.fullmatch(r"sys\.exit\((\w+)\(\)\)", ast.unparse(statement))[1]
+        assert scripts["arrayshadow"] == f"arrayshadow.cli:{entry}"
 
     def test_oracle_without_scipy_names_the_extra(self):
         code = (
